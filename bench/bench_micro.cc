@@ -26,18 +26,6 @@ void BM_Crc32c4K(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32c4K);
 
-void BM_Adler32_4K(benchmark::State& state) {
-  Block block;
-  Rng rng(2);
-  rng.Fill(block.bytes());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Adler32(block.bytes()));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          kBlockSize);
-}
-BENCHMARK(BM_Adler32_4K);
-
 void BM_BitmapDifference(benchmark::State& state) {
   const size_t bits = static_cast<size_t>(state.range(0));
   Bitmap a(bits), b(bits);

@@ -5,6 +5,7 @@
 #ifndef BKUP_BLOCK_BLOCK_H_
 #define BKUP_BLOCK_BLOCK_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -44,11 +45,16 @@ struct Block {
   }
 
   void XorWith(const Block& other) {
-    // Word-at-a-time XOR; this is the RAID-4 parity inner loop.
-    auto* dst = reinterpret_cast<uint64_t*>(data.data());
-    const auto* src = reinterpret_cast<const uint64_t*>(other.data.data());
-    for (size_t i = 0; i < kBlockSize / sizeof(uint64_t); ++i) {
-      dst[i] ^= src[i];
+    // Word-at-a-time XOR; this is the RAID-4 parity inner loop. The words go
+    // through memcpy because `data` is a byte array with no 8-byte alignment
+    // guarantee; the compiler still vectorises the loop.
+    for (size_t i = 0; i < kBlockSize; i += sizeof(uint64_t)) {
+      uint64_t dst;
+      uint64_t src;
+      std::memcpy(&dst, data.data() + i, sizeof(dst));
+      std::memcpy(&src, other.data.data() + i, sizeof(src));
+      dst ^= src;
+      std::memcpy(data.data() + i, &dst, sizeof(dst));
     }
   }
 

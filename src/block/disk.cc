@@ -19,36 +19,45 @@ Disk::Disk(SimEnvironment* env, std::string name, uint64_t num_blocks,
       metric_errors_(MetricsRegistry::Default().GetCounter(
           "disk.errors", {{"device", name_}})) {}
 
-Status Disk::ReadData(Dbn dbn, Block* out) const {
+Status Disk::CheckAccess(Dbn dbn, const char* op) const {
   if (failed_) {
     return IoError(name_ + ": drive failed");
   }
   if (dbn >= num_blocks_) {
-    return InvalidArgument(name_ + ": read past end of disk");
+    return InvalidArgument(name_ + ": " + op + " past end of disk");
   }
-  auto it = store_.find(dbn);
-  if (it == store_.end()) {
+  return Status::Ok();
+}
+
+Status Disk::ReadData(Dbn dbn, Block* out) const {
+  BKUP_ASSIGN_OR_RETURN(const Block* stored, Peek(dbn));
+  if (stored == nullptr) {
     out->Zero();
   } else {
-    *out = *it->second;
+    *out = *stored;
   }
   return Status::Ok();
 }
 
 Status Disk::WriteData(Dbn dbn, const Block& block) {
-  if (failed_) {
-    return IoError(name_ + ": drive failed");
-  }
-  if (dbn >= num_blocks_) {
-    return InvalidArgument(name_ + ": write past end of disk");
-  }
-  auto it = store_.find(dbn);
-  if (it == store_.end()) {
-    store_.emplace(dbn, std::make_unique<Block>(block));
-  } else {
-    *it->second = block;
-  }
+  BKUP_ASSIGN_OR_RETURN(Block* stored, Slot(dbn));
+  *stored = block;
   return Status::Ok();
+}
+
+Result<const Block*> Disk::Peek(Dbn dbn) const {
+  BKUP_RETURN_IF_ERROR(CheckAccess(dbn, "read"));
+  auto it = store_.find(dbn);
+  return it == store_.end() ? nullptr : it->second.get();
+}
+
+Result<Block*> Disk::Slot(Dbn dbn) {
+  BKUP_RETURN_IF_ERROR(CheckAccess(dbn, "write"));
+  auto [it, inserted] = store_.try_emplace(dbn);
+  if (inserted) {
+    it->second = std::make_unique<Block>();
+  }
+  return it->second.get();
 }
 
 void Disk::ReplaceWithBlank() {

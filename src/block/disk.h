@@ -54,6 +54,14 @@ class Disk {
   Status ReadData(Dbn dbn, Block* out) const;
   Status WriteData(Dbn dbn, const Block& block);
 
+  // Direct access to the stored block, for in-place parity math. Both run
+  // the same failed-drive and bounds checks as ReadData/WriteData. `Peek`
+  // returns null for a block never written (it reads as zeros); `Slot`
+  // creates a zero block on first touch. The pointer stays valid until the
+  // block store is cleared (ReplaceWithBlank).
+  Result<const Block*> Peek(Dbn dbn) const;
+  Result<Block*> Slot(Dbn dbn);
+
   // --------------------------------------------------------- failures ---
 
   // A failed disk errors all data access until repaired; used by the RAID
@@ -95,6 +103,10 @@ class Disk {
   uint64_t bytes_transferred() const { return bytes_transferred_; }
 
  private:
+  // The failed-drive and bounds checks every data access runs first; `op`
+  // ("read" or "write") names the access in the error.
+  Status CheckAccess(Dbn dbn, const char* op) const;
+
   SimEnvironment* env_;
   std::string name_;
   uint64_t num_blocks_;

@@ -31,13 +31,14 @@ size_t RaidGroup::failed_count() const {
 
 Status RaidGroup::XorStripeExcept(Dbn stripe, size_t skip_column, Block* out) {
   out->Zero();
-  Block tmp;
   for (size_t c = 0; c < disks_.size(); ++c) {
     if (c == skip_column) {
       continue;
     }
-    BKUP_RETURN_IF_ERROR(disks_[c]->ReadData(stripe, &tmp));
-    out->XorWith(tmp);
+    BKUP_ASSIGN_OR_RETURN(const Block* stored, disks_[c]->Peek(stripe));
+    if (stored != nullptr) {  // a never-written block reads as zeros
+      out->XorWith(*stored);
+    }
   }
   return Status::Ok();
 }
@@ -84,15 +85,15 @@ Status RaidGroup::WriteBlock(uint64_t gbn, const Block& block) {
     return p.disk->WriteData(p.dbn, block);
   }
 
-  // Normal path: read-modify-write parity.
-  Block old_data;
-  Block old_parity;
-  BKUP_RETURN_IF_ERROR(p.disk->ReadData(p.dbn, &old_data));
-  BKUP_RETURN_IF_ERROR(parity->ReadData(p.dbn, &old_parity));
-  old_parity.XorWith(old_data);
-  old_parity.XorWith(block);
-  BKUP_RETURN_IF_ERROR(p.disk->WriteData(p.dbn, block));
-  return parity->WriteData(p.dbn, old_parity);
+  // Normal path: read-modify-write parity, in place on the stored blocks.
+  // Both lookups run their drive checks before any byte changes, so an
+  // error leaves data and parity as they were.
+  BKUP_ASSIGN_OR_RETURN(Block* data_slot, p.disk->Slot(p.dbn));
+  BKUP_ASSIGN_OR_RETURN(Block* parity_slot, parity->Slot(p.dbn));
+  parity_slot->XorWith(*data_slot);
+  parity_slot->XorWith(block);
+  *data_slot = block;
+  return Status::Ok();
 }
 
 Status RaidGroup::Reconstruct(size_t column) {

@@ -1,6 +1,12 @@
 #include "src/util/checksum.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#define BKUP_CRC32C_SSE42 1
+#endif
 
 namespace bkup {
 namespace {
@@ -24,9 +30,40 @@ const std::array<uint32_t, 256>& Crc32cTable() {
   return table;
 }
 
+#ifdef BKUP_CRC32C_SSE42
+// The SSE4.2 `crc32` instruction computes the same reflected Castagnoli
+// CRC, eight bytes per step. Compiled for SSE4.2 on this function only, so
+// the rest of the build keeps the baseline ISA; Crc32c calls it only after
+// the CPU reports the feature.
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(
+    std::span<const uint8_t> data, uint32_t seed) {
+  const uint8_t* p = data.data();
+  size_t n = data.size();
+  uint64_t crc = ~seed;
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+  }
+  auto crc32 = static_cast<uint32_t>(crc);
+  for (; n > 0; ++p, --n) {
+    crc32 = _mm_crc32_u8(crc32, *p);
+  }
+  return ~crc32;
+}
+
+bool HasSse42() {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return has;
+}
+#endif
+
 }  // namespace
 
-uint32_t Crc32c(std::span<const uint8_t> data, uint32_t seed) {
+uint32_t Crc32cPortable(std::span<const uint8_t> data, uint32_t seed) {
   const auto& table = Crc32cTable();
   uint32_t crc = ~seed;
   for (uint8_t byte : data) {
@@ -35,26 +72,13 @@ uint32_t Crc32c(std::span<const uint8_t> data, uint32_t seed) {
   return ~crc;
 }
 
-uint32_t Adler32(std::span<const uint8_t> data, uint32_t seed) {
-  constexpr uint32_t kMod = 65521;
-  uint32_t a = seed & 0xFFFF;
-  uint32_t b = (seed >> 16) & 0xFFFF;
-  size_t i = 0;
-  while (i < data.size()) {
-    // Process in chunks small enough that a and b cannot overflow 32 bits.
-    size_t chunk = data.size() - i;
-    if (chunk > 5552) {
-      chunk = 5552;
-    }
-    for (size_t j = 0; j < chunk; ++j) {
-      a += data[i + j];
-      b += a;
-    }
-    a %= kMod;
-    b %= kMod;
-    i += chunk;
+uint32_t Crc32c(std::span<const uint8_t> data, uint32_t seed) {
+#ifdef BKUP_CRC32C_SSE42
+  if (HasSse42()) {
+    return Crc32cSse42(data, seed);
   }
-  return (b << 16) | a;
+#endif
+  return Crc32cPortable(data, seed);
 }
 
 void Crc32cAccumulator::Update(std::span<const uint8_t> data) {

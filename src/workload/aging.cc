@@ -80,10 +80,21 @@ Result<AgingStats> AgeFilesystem(Filesystem* fs, const AgingParams& params) {
     uint64_t refilled = 0;
     uint32_t seq = 0;
     while (refilled < deleted_bytes) {
-      const std::string path = dirs[rng.Below(dirs.size())] + "/aged_r" +
-                               std::to_string(round) + "_" +
-                               std::to_string(seq++);
-      BKUP_ASSIGN_OR_RETURN(Inum inum, fs->Create(path, 0644));
+      // A volume aged before already holds aged_r{round}_{seq} names; skip
+      // taken ones without drawing again, so a first aging keeps its names
+      // and random stream.
+      const std::string& dir = dirs[rng.Below(dirs.size())];
+      auto create_next = [&] {
+        return fs->Create(dir + "/aged_r" + std::to_string(round) + "_" +
+                              std::to_string(seq++),
+                          0644);
+      };
+      Result<Inum> created = create_next();
+      while (!created.ok() &&
+             created.status().code() == ErrorCode::kAlreadyExists) {
+        created = create_next();
+      }
+      BKUP_ASSIGN_OR_RETURN(Inum inum, std::move(created));
       const uint64_t size = std::min<uint64_t>(
           deleted_bytes - refilled, (rng.Below(16) + 1) * 2 * kBlockSize);
       chunk.resize(size);

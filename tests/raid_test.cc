@@ -2,6 +2,7 @@
 // operation, reconstruction, and volume-level placement.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -85,6 +86,50 @@ TEST(RaidGroupTest, ParityIsXorOfDataColumns) {
   expect.XorWith(b1);
   expect.XorWith(b2);
   EXPECT_EQ(parity, expect);
+
+  // Random-order writes over 40 stripes: overwrites of written blocks, and
+  // stripes 32+ left partial (column 2 never written, and from stripe 36
+  // column 1 neither).
+  constexpr uint64_t kStripes = 40;
+  std::vector<uint64_t> candidates;
+  for (uint64_t gbn = 0; gbn < kStripes * 3; ++gbn) {
+    const uint64_t stripe = gbn / 3, column = gbn % 3;
+    if ((stripe >= 32 && column == 2) || (stripe >= 36 && column == 1)) {
+      continue;
+    }
+    candidates.push_back(gbn);
+  }
+  std::map<uint64_t, Block> last = {{0, b0}, {1, b1}, {2, b2}};
+  for (int i = 0; i < 400; ++i) {
+    const uint64_t gbn = candidates[rng.Below(candidates.size())];
+    last[gbn] = RandomBlock(&rng);
+    ASSERT_TRUE(f.group->WriteBlock(gbn, last[gbn]).ok()) << "block " << gbn;
+  }
+  auto expected = [&last](uint64_t gbn) {
+    auto it = last.find(gbn);
+    return it == last.end() ? Block() : it->second;
+  };
+  for (Dbn stripe = 0; stripe < kDiskBlocks; ++stripe) {
+    Block want;
+    for (uint64_t column = 0; column < 3; ++column) {
+      want.XorWith(expected(stripe * 3 + column));
+    }
+    ASSERT_TRUE(f.group->parity_disk()->ReadData(stripe, &parity).ok());
+    EXPECT_EQ(parity, want) << "stripe " << stripe;
+  }
+
+  // Fail each data column in turn: degraded reads return the last bytes
+  // written, then the column is rebuilt before the next one fails.
+  Block got;
+  for (size_t column = 0; column < 3; ++column) {
+    f.disks[column]->Fail();
+    for (uint64_t gbn = column; gbn < kStripes * 3; gbn += 3) {
+      ASSERT_TRUE(f.group->ReadBlock(gbn, &got).ok()) << "block " << gbn;
+      EXPECT_EQ(got, expected(gbn)) << "degraded read of block " << gbn;
+    }
+    f.disks[column]->ReplaceWithBlank();
+    ASSERT_TRUE(f.group->Reconstruct(column).ok());
+  }
 }
 
 TEST(RaidGroupTest, DegradedReadReconstructs) {

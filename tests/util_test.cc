@@ -258,12 +258,42 @@ TEST(ChecksumTest, Crc32cIncrementalMatchesOneShot) {
   EXPECT_EQ(acc.value(), whole);
 }
 
-TEST(ChecksumTest, Adler32KnownVector) {
-  // Adler-32 of "Wikipedia" is 0x11E60398.
-  const char* s = "Wikipedia";
-  const auto data = std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(s), 9);
-  EXPECT_EQ(Adler32(data), 0x11E60398u);
+TEST(ChecksumTest, DispatchMatchesPortable) {
+  // Crc32c may run on the SSE4.2 instruction; it must agree with the table
+  // reference at every length around the 8-byte step, at every start
+  // alignment, and from any seed.
+  std::vector<uint8_t> buf(4096 + 7 + 8);
+  Rng rng(11);
+  rng.Fill(buf);
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 130; ++n) {
+    lengths.push_back(n);
+  }
+  for (size_t n = 4096 - 7; n <= 4096 + 7; ++n) {
+    lengths.push_back(n);
+  }
+  for (uint32_t seed : {0u, 1u, 0xFFFFFFFFu, 0x82F63B78u, 0x12345678u}) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t n : lengths) {
+        const auto data = std::span<const uint8_t>(buf).subspan(offset, n);
+        ASSERT_EQ(Crc32c(data, seed), Crc32cPortable(data, seed))
+            << "seed " << seed << " offset " << offset << " length " << n;
+      }
+    }
+  }
+}
+
+TEST(ChecksumTest, Crc32cChainsAtEverySplit) {
+  std::vector<uint8_t> buf(200);
+  Rng rng(12);
+  rng.Fill(buf);
+  const std::span<const uint8_t> all(buf);
+  const uint32_t whole = Crc32c(all);
+  EXPECT_EQ(whole, Crc32cPortable(all));
+  for (size_t split = 0; split <= buf.size(); ++split) {
+    EXPECT_EQ(Crc32c(all.subspan(split), Crc32c(all.first(split))), whole)
+        << "split at " << split;
+  }
 }
 
 TEST(ChecksumTest, DifferentDataDifferentCrc) {

@@ -2,6 +2,9 @@
 // trees, aging-induced fragmentation, and tree checksumming.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "src/workload/aging.h"
 #include "src/workload/population.h"
 
@@ -136,6 +139,51 @@ TEST(AgingTest, AgedFilesystemStillVerifies) {
   aging.rounds = 2;
   ASSERT_TRUE(AgeFilesystem(f.fs.get(), aging).ok());
   // Remount and confirm the tree is intact and readable.
+  auto sums_before = ChecksumTree(f.fs->LiveReader());
+  ASSERT_TRUE(sums_before.ok());
+  f.fs.reset();
+  auto fs2 = Filesystem::Mount(f.volume.get(), &f.env);
+  ASSERT_TRUE(fs2.ok());
+  auto sums_after = ChecksumTree((*fs2)->LiveReader());
+  ASSERT_TRUE(sums_after.ok());
+  EXPECT_EQ(*sums_before, *sums_after);
+}
+
+TEST(AgingTest, AgingTwiceSkipsTakenNames) {
+  WorkloadFixture f;
+  WorkloadParams params;
+  params.target_bytes = 8 * kMiB;
+  ASSERT_TRUE(PopulateFilesystem(f.fs.get(), params).ok());
+  AgingParams aging;
+  aging.rounds = 2;
+  auto first = AgeFilesystem(f.fs.get(), aging);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto aged_names = [](const FsReader& reader) {
+    std::set<std::string> names;
+    EXPECT_TRUE(WalkTree(reader, "/",
+                         [&names](const std::string& path, Inum,
+                                  const InodeData&) {
+                           if (path.find("/aged_r") != std::string::npos) {
+                             names.insert(path);
+                           }
+                         })
+                    .ok());
+    return names;
+  };
+  const std::set<std::string> before = aged_names(f.fs->LiveReader());
+  ASSERT_FALSE(before.empty());
+
+  // The same parameters draw the same aged_r{round}_{seq} names again; the
+  // second pass must move on to free sequence numbers.
+  auto second = AgeFilesystem(f.fs.get(), aging);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_GT(second->creations, 0u);
+  size_t fresh = 0;
+  for (const std::string& name : aged_names(f.fs->LiveReader())) {
+    fresh += before.count(name) == 0 ? 1 : 0;
+  }
+  EXPECT_GT(fresh, 0u);
+
   auto sums_before = ChecksumTree(f.fs->LiveReader());
   ASSERT_TRUE(sums_before.ok());
   f.fs.reset();
