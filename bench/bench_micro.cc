@@ -1,10 +1,15 @@
 // Micro-benchmarks (google-benchmark) for the hot inner loops of the
 // backup paths: checksums, bitmap algebra (the Table 1 computation), block
-// map plane operations, dump record serialization, the write allocator and
-// RAID parity math.
+// map plane operations, dump record serialization, the write allocator,
+// RAID parity math and the content pipeline's chunker and encoder.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+#include <optional>
+#include <vector>
+
 #include "src/block/block.h"
+#include "src/content/content.h"
 #include "src/dump/format.h"
 #include "src/fs/blockmap.h"
 #include "src/util/bitmap.h"
@@ -132,6 +137,59 @@ void BM_RaidParityXor(benchmark::State& state) {
                           kBlockSize);
 }
 BENCHMARK(BM_RaidParityXor);
+
+// 4 MiB of seeded random bytes in which every fourth 4 KiB block repeats an
+// earlier one, so dedup has something to find inside a single stream.
+std::vector<uint8_t> ContentStream() {
+  std::vector<uint8_t> raw(4 << 20);
+  Rng rng(7);
+  rng.Fill(raw);
+  for (size_t b = 4; b * 4096 < raw.size(); b += 4) {
+    std::memcpy(&raw[b * 4096], &raw[(b / 4 - 1) * 4096], 4096);
+  }
+  return raw;
+}
+
+void BM_ContentChunkBoundaries(benchmark::State& state) {
+  const std::vector<uint8_t> raw = ContentStream();
+  ContentConfig cfg;
+  cfg.chunk = true;
+  const StagePipeline pipe(cfg);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pipe.ChunkBoundaries(raw));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(raw.size()));
+}
+BENCHMARK(BM_ContentChunkBoundaries);
+
+// chunk+dedup+crc encode of one stream. Arg 0: a cold index (every
+// iteration starts empty, so each unique chunk is stored); arg 1: a warm
+// index that already holds the stream (every chunk is a verified ref).
+void BM_ContentEncode(benchmark::State& state) {
+  const bool warm = state.range(0) != 0;
+  const std::vector<uint8_t> raw = ContentStream();
+  std::optional<ChunkIndex> index(std::in_place);
+  ContentConfig cfg;
+  cfg.chunk = cfg.dedup = cfg.crc = true;
+  cfg.index = &*index;
+  const StagePipeline pipe(cfg);
+  if (warm && !pipe.Encode(raw).ok()) {
+    state.SkipWithError("warm-up encode failed");
+    return;
+  }
+  for (auto _ : state) {
+    if (!warm) {
+      state.PauseTiming();
+      index.emplace();
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(pipe.Encode(raw));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(raw.size()));
+}
+BENCHMARK(BM_ContentEncode)->ArgName("warm")->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace bkup

@@ -43,20 +43,100 @@ uint64_t Mix64(uint64_t x) {
   return x;
 }
 
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;  // FNV-1a 64 basis
+constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+
+// ContentHash of every span, in span order. FNV-1a is one serial multiply
+// chain per span, so the only way to overlap the multiplier is to run
+// independent spans side by side: each of four lanes hashes one span byte
+// by byte exactly as ContentHash does, and a lane that finishes takes the
+// next span. The last spans (fewer than four) finish one at a time.
+std::vector<uint64_t> ContentHashes(
+    std::span<const std::span<const uint8_t>> spans) {
+  struct Lane {
+    const uint8_t* p = nullptr;
+    size_t left = 0;
+    size_t slot = 0;
+    uint64_t h = kFnvOffset;
+  };
+  constexpr size_t kLanes = 4;
+  std::vector<uint64_t> out(spans.size());
+  size_t next = 0;
+  auto take = [&spans, &next]() {
+    const size_t slot = next++;
+    return Lane{spans[slot].data(), spans[slot].size(), slot, kFnvOffset};
+  };
+  Lane lane[kLanes];
+  size_t live = 0;
+  while (live < kLanes && next < spans.size()) {
+    lane[live++] = take();
+  }
+  while (live == kLanes) {
+    size_t step = lane[0].left;
+    for (const Lane& l : lane) {
+      step = std::min(step, l.left);
+    }
+    const uint8_t* p0 = lane[0].p;
+    const uint8_t* p1 = lane[1].p;
+    const uint8_t* p2 = lane[2].p;
+    const uint8_t* p3 = lane[3].p;
+    uint64_t h0 = lane[0].h;
+    uint64_t h1 = lane[1].h;
+    uint64_t h2 = lane[2].h;
+    uint64_t h3 = lane[3].h;
+    for (size_t i = 0; i < step; ++i) {
+      h0 = (h0 ^ p0[i]) * kFnvPrime;
+      h1 = (h1 ^ p1[i]) * kFnvPrime;
+      h2 = (h2 ^ p2[i]) * kFnvPrime;
+      h3 = (h3 ^ p3[i]) * kFnvPrime;
+    }
+    lane[0].h = h0;
+    lane[1].h = h1;
+    lane[2].h = h2;
+    lane[3].h = h3;
+    for (Lane& l : lane) {
+      l.p += step;
+      l.left -= step;
+    }
+    for (size_t k = 0; k < live;) {
+      if (lane[k].left != 0) {
+        ++k;
+        continue;
+      }
+      out[lane[k].slot] = Mix64(lane[k].h);
+      // Refill in place (an empty span finishes on the next pass of this
+      // loop), or close the gap with the last live lane.
+      lane[k] = next < spans.size() ? take() : lane[--live];
+    }
+  }
+  for (size_t k = 0; k < live; ++k) {
+    uint64_t h = lane[k].h;
+    for (size_t i = 0; i < lane[k].left; ++i) {
+      h = (h ^ lane[k].p[i]) * kFnvPrime;
+    }
+    out[lane[k].slot] = Mix64(h);
+  }
+  return out;
+}
+
+uint64_t RotL(uint64_t v, int s) { return (v << s) | (v >> (64 - s)); }
+
+// `in` is the buzhash table; `out[b]` is `in[b]` rotated by kRollWindow, the
+// term that cancels byte b as it leaves the window.
 struct RollTable {
-  uint64_t t[256];
+  uint64_t in[256];
+  uint64_t out[256];
 };
 
 RollTable MakeRollTable(uint64_t seed) {
   RollTable table;
   uint64_t state = seed ^ 0x636e6b74;  // "cnkt"
-  for (uint64_t& v : table.t) {
-    v = SplitMix64(state);
+  for (int b = 0; b < 256; ++b) {
+    table.in[b] = SplitMix64(state);
+    table.out[b] = RotL(table.in[b], static_cast<int>(kRollWindow & 63));
   }
   return table;
 }
-
-uint64_t RotL(uint64_t v, int s) { return (v << s) | (v >> (64 - s)); }
 
 uint16_t StageFlags(const ContentConfig& cfg) {
   uint16_t flags = 0;
@@ -179,10 +259,10 @@ Result<FrameHeader> ReadFrameHeader(ByteReader* r) {
 }  // namespace
 
 uint64_t ContentHash(std::span<const uint8_t> bytes) {
-  uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a 64 offset basis
+  uint64_t h = kFnvOffset;
   for (uint8_t b : bytes) {
     h ^= b;
-    h *= 0x100000001b3ull;
+    h *= kFnvPrime;
   }
   return Mix64(h);
 }
@@ -467,8 +547,6 @@ std::vector<uint64_t> StagePipeline::ChunkBoundaries(
   if (raw.empty()) {
     return ends;
   }
-  const uint64_t min_len = cfg_.min_chunk_bytes;
-  const uint64_t max_len = cfg_.max_chunk_bytes;
   if (!cfg_.chunk) {
     // Fixed-size chunking fallback: avg-sized pieces.
     for (uint64_t pos = 0; pos < raw.size();) {
@@ -478,30 +556,37 @@ std::vector<uint64_t> StagePipeline::ChunkBoundaries(
     return ends;
   }
   const RollTable table = MakeRollTable(cfg_.seed);
+  const uint8_t* p = raw.data();
+  const uint64_t n = raw.size();
   const uint64_t mask = cfg_.avg_chunk_bytes - 1;
+  // Validate() keeps min above the window; the clamps only keep a direct
+  // call with an unvalidated config in bounds.
+  const uint64_t min_len =
+      std::max<uint64_t>(cfg_.min_chunk_bytes, kRollWindow);
+  const uint64_t max_len = std::max<uint64_t>(cfg_.max_chunk_bytes, min_len);
   uint64_t start = 0;
-  uint64_t h = 0;
-  uint64_t pos = 0;
-  while (pos < raw.size()) {
-    const uint8_t in = raw[pos];
-    h = RotL(h, 1) ^ table.t[in];
-    if (pos - start >= kRollWindow) {
-      // The byte entering kRollWindow iterations ago has been rotated once
-      // per iteration since; cancel exactly that contribution so the hash
-      // depends only on the trailing window (what makes an edit local).
-      h ^= RotL(table.t[raw[pos - kRollWindow]],
-                static_cast<int>(kRollWindow & 63));
+  while (n - start > min_len) {
+    // No cut falls before min_len, and once kRollWindow bytes are in, the
+    // hash depends only on the trailing window (the byte leaving it has
+    // been rotated kRollWindow times; cancelling exactly that is what
+    // makes an edit local). So skip to the window ending at min_len, prime
+    // it, then roll with no per-byte window branch.
+    uint64_t pos = start + min_len;
+    uint64_t h = 0;
+    for (uint64_t i = pos - kRollWindow; i < pos; ++i) {
+      h = RotL(h, 1) ^ table.in[p[i]];
     }
-    ++pos;
-    const uint64_t len = pos - start;
-    if ((len >= min_len && (h & mask) == mask) || len >= max_len) {
-      ends.push_back(pos);
-      start = pos;
-      h = 0;
+    const uint64_t stop = std::min(n, start + max_len);
+    // (h & mask) == mask, written as a carry out of the low bits.
+    while (((h + 1) & mask) != 0 && pos < stop) {
+      h = RotL(h, 1) ^ (table.in[p[pos]] ^ table.out[p[pos - kRollWindow]]);
+      ++pos;
     }
+    ends.push_back(pos);
+    start = pos;
   }
-  if (ends.empty() || ends.back() != raw.size()) {
-    ends.push_back(raw.size());
+  if (start < n) {
+    ends.push_back(n);  // a tail no longer than min_len
   }
   return ends;
 }
@@ -509,19 +594,32 @@ std::vector<uint64_t> StagePipeline::ChunkBoundaries(
 Result<EncodeResult> StagePipeline::Encode(
     std::span<const uint8_t> raw) const {
   BKUP_RETURN_IF_ERROR(cfg_.Validate());
+  std::vector<std::span<const uint8_t>> chunks;
+  uint64_t cut = 0;
+  for (uint64_t end : ChunkBoundaries(raw)) {
+    chunks.push_back(raw.subspan(cut, end - cut));
+    cut = end;
+  }
+  const std::vector<uint64_t> hashes = ContentHashes(chunks);
+
   EncodeResult out;
   out.stats.raw_bytes = raw.size();
   out.map.raw_total_ = raw.size();
+  out.map.frames_.reserve(chunks.size());
+  // Upper bound: no literal payload exceeds its raw chunk (the modeled
+  // ratio is > 1), and a ref frame is a bare header.
+  out.wire.reserve(kContentStreamHeaderBytes + raw.size() +
+                   kContentFrameHeaderBytes * chunks.size());
   PutStreamHeader(&out.wire, cfg_, raw.size());
 
   const bool store_backed = cfg_.compress || cfg_.dedup;
   const uint32_t ratio_milli = RatioMilli(cfg_.compress_ratio);
   uint64_t begin = 0;
-  for (uint64_t end : ChunkBoundaries(raw)) {
-    const std::span<const uint8_t> chunk = raw.subspan(begin, end - begin);
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    const std::span<const uint8_t> chunk = chunks[i];
     FrameHeader f;
     f.raw_len = static_cast<uint32_t>(chunk.size());
-    f.hash = ContentHash(chunk);
+    f.hash = hashes[i];
     f.crc = Crc32c(chunk);
 
     const ChunkIndex::Entry* hit =
@@ -575,7 +673,7 @@ Result<EncodeResult> StagePipeline::Encode(
     frame.wire_len = static_cast<uint32_t>(out.wire.size() - wire_begin);
     out.map.frames_.push_back(frame);
     ++out.stats.chunks;
-    begin = end;
+    begin += chunk.size();
   }
   out.map.wire_total_ = out.wire.size();
   out.stats.wire_bytes = out.wire.size();
@@ -596,9 +694,24 @@ Result<std::vector<uint8_t>> StagePipeline::Decode(
   const bool verify_verbatim = (header.flags & kStageCrc) != 0;
   ContentStats local;
   local.wire_bytes = wire.size();
+  auto store_corruption = []() {
+    MetricsRegistry::Default()
+        .GetCounter("content.corruptions_detected")
+        ->Increment();
+    return Corruption("chunk index entry failed verification");
+  };
 
-  std::vector<uint8_t> raw;
-  raw.reserve(header.raw_total);
+  // Walk: frame structure, verbatim CRCs and index lookups. Nothing is
+  // allocated from a header field yet; every piece is a view of bytes that
+  // exist (a wire payload or a store entry).
+  struct StoreCheck {
+    uint32_t crc;
+    uint64_t hash;
+  };
+  std::vector<std::span<const uint8_t>> pieces;  // every frame, in order
+  std::vector<std::span<const uint8_t>> stored;  // the store-backed ones
+  std::vector<StoreCheck> checks;                // their header seals
+  uint64_t raw_size = 0;
   ByteReader r(wire.subspan(kContentStreamHeaderBytes));
   while (!r.exhausted()) {
     BKUP_ASSIGN_OR_RETURN(FrameHeader f, ReadFrameHeader(&r));
@@ -615,7 +728,8 @@ Result<std::vector<uint8_t>> StagePipeline::Decode(
           return Corruption("literal frame failed its CRC");
         }
       }
-      raw.insert(raw.end(), payload.begin(), payload.end());
+      pieces.push_back(payload);
+      raw_size += payload.size();
       continue;
     }
     // Ref frame or store-backed literal: reconstruct from the ChunkIndex,
@@ -632,18 +746,34 @@ Result<std::vector<uint8_t>> StagePipeline::Decode(
     if (entry == nullptr) {
       return Corruption("chunk index is missing a referenced chunk");
     }
-    ++local.crc_checks;
-    if (entry->bytes.size() != f.raw_len || Crc32c(entry->bytes) != f.crc ||
-        ContentHash(entry->bytes) != f.hash) {
-      MetricsRegistry::Default()
-          .GetCounter("content.corruptions_detected")
-          ->Increment();
-      return Corruption("chunk index entry failed verification");
+    if (entry->bytes.size() != f.raw_len) {
+      return store_corruption();
     }
-    raw.insert(raw.end(), entry->bytes.begin(), entry->bytes.end());
+    ++local.crc_checks;
+    pieces.push_back(entry->bytes);
+    stored.push_back(entry->bytes);
+    checks.push_back({f.crc, f.hash});
+    raw_size += f.raw_len;
   }
-  if (raw.size() != header.raw_total) {
+
+  // Verify: the store-backed frames in frame order, their content hashes
+  // from one batched call.
+  const std::vector<uint64_t> hashes = ContentHashes(stored);
+  for (size_t i = 0; i < stored.size(); ++i) {
+    if (Crc32c(stored[i]) != checks[i].crc || hashes[i] != checks[i].hash) {
+      return store_corruption();
+    }
+  }
+
+  // Allocate: only once the frames account for exactly raw_total bytes.
+  if (raw_size != header.raw_total) {
     return Corruption("content stream truncated");
+  }
+  std::vector<uint8_t> raw;
+  raw.reserve(raw_size);
+  // Assemble.
+  for (std::span<const uint8_t> piece : pieces) {
+    raw.insert(raw.end(), piece.begin(), piece.end());
   }
   local.raw_bytes = raw.size();
   MetricsRegistry::Default()

@@ -214,8 +214,9 @@ class StagePipeline {
   Result<std::vector<uint8_t>> Decode(std::span<const uint8_t> wire,
                                       ContentStats* stats = nullptr) const;
 
-  // Content-defined chunk end offsets of `raw` (ascending, last == size).
-  // Exposed for the chunking-locality property tests.
+  // Content-defined chunk end offsets of `raw` (ascending, last == size),
+  // for a config that passes Validate(). Exposed for the chunking property
+  // tests and the micro-benchmarks.
   std::vector<uint64_t> ChunkBoundaries(std::span<const uint8_t> raw) const;
 
  private:

@@ -7,8 +7,10 @@
 #ifndef BKUP_UTIL_RANDOM_H_
 #define BKUP_UTIL_RANDOM_H_
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 
@@ -72,22 +74,30 @@ class Rng {
     return std::exp(mu + sigma * z);
   }
 
-  // Fill `out` with deterministic bytes.
+  // Fill `out` with deterministic bytes: one Next() per 8 bytes, each in
+  // little-endian order, the last one cut short.
   void Fill(std::span<uint8_t> out) {
+    // Byte stores may alias state_, so a loop on the members would reload
+    // and store the state every step; a local copy stays in registers.
+    Rng local = *this;
     size_t i = 0;
-    while (i + 8 <= out.size()) {
-      const uint64_t v = Next();
-      for (int b = 0; b < 8; ++b) {
-        out[i + b] = static_cast<uint8_t>(v >> (8 * b));
+    for (; i + 8 <= out.size(); i += 8) {
+      const uint64_t v = local.Next();
+      if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&out[i], &v, 8);
+      } else {
+        for (int b = 0; b < 8; ++b) {
+          out[i + b] = static_cast<uint8_t>(v >> (8 * b));
+        }
       }
-      i += 8;
     }
     if (i < out.size()) {
-      const uint64_t v = Next();
-      for (int b = 0; b < 8 && i < out.size(); ++i, ++b) {
-        out[i] = static_cast<uint8_t>(v >> (8 * b));
+      uint64_t v = local.Next();
+      for (; i < out.size(); ++i, v >>= 8) {
+        out[i] = static_cast<uint8_t>(v);
       }
     }
+    *this = local;
   }
 
   // Lowercase alphanumeric name of the given length.

@@ -58,6 +58,246 @@ ContentConfig ComboConfig(int combo, ChunkIndex* index) {
   return cfg;
 }
 
+// ------------------------------------------------- byte-identical reference
+
+// Test-local copies of the original byte-at-a-time chunker and serial
+// content hash. The production loops are restructured for speed; these pin
+// the contract that every boundary and every hash stays what it was.
+uint64_t RefRotL(uint64_t v, int s) { return (v << s) | (v >> (64 - s)); }
+
+uint64_t RefContentHash(std::span<const uint8_t> bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ull;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebull;
+  h ^= h >> 31;
+  return h;
+}
+
+std::vector<uint64_t> RefChunkBoundaries(const ContentConfig& cfg,
+                                         std::span<const uint8_t> raw) {
+  std::vector<uint64_t> ends;
+  if (raw.empty()) {
+    return ends;
+  }
+  if (!cfg.chunk) {
+    for (uint64_t pos = 0; pos < raw.size();) {
+      pos = std::min<uint64_t>(pos + cfg.avg_chunk_bytes, raw.size());
+      ends.push_back(pos);
+    }
+    return ends;
+  }
+  constexpr size_t kWindow = 48;
+  uint64_t table[256];
+  uint64_t state = cfg.seed ^ 0x636e6b74;
+  for (uint64_t& v : table) {
+    v = SplitMix64(state);
+  }
+  const uint64_t mask = cfg.avg_chunk_bytes - 1;
+  uint64_t start = 0;
+  uint64_t h = 0;
+  uint64_t pos = 0;
+  while (pos < raw.size()) {
+    h = RefRotL(h, 1) ^ table[raw[pos]];
+    if (pos - start >= kWindow) {
+      h ^= RefRotL(table[raw[pos - kWindow]], kWindow);
+    }
+    ++pos;
+    const uint64_t len = pos - start;
+    if ((len >= cfg.min_chunk_bytes && (h & mask) == mask) ||
+        len >= cfg.max_chunk_bytes) {
+      ends.push_back(pos);
+      start = pos;
+      h = 0;
+    }
+  }
+  if (ends.empty() || ends.back() != raw.size()) {
+    ends.push_back(raw.size());
+  }
+  return ends;
+}
+
+uint64_t LoadLe64(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) {
+    v = (v << 8) | p[i];
+  }
+  return v;
+}
+
+// Every frame's header hash (offset 12) equals the serial reference hash of
+// the raw chunk it stands for.
+void ExpectFrameHashesMatchReference(const EncodeResult& encoded,
+                                     std::span<const uint8_t> raw) {
+  for (const FrameMap::Frame& f : encoded.map.frames()) {
+    ASSERT_LE(f.wire_begin + kContentFrameHeaderBytes, encoded.wire.size());
+    EXPECT_EQ(LoadLe64(&encoded.wire[f.wire_begin + 12]),
+              RefContentHash(raw.subspan(f.raw_begin, f.raw_len)))
+        << "frame at raw " << f.raw_begin;
+  }
+}
+
+// Random bytes with long runs of one value. Inside a run the rolling hash
+// is constant, so unless that constant hits the mask, only the max-length
+// cut can end a chunk there.
+std::vector<uint8_t> MakeRunStream(uint64_t seed, size_t n) {
+  std::vector<uint8_t> out = MakeStream(seed, n);
+  const size_t run = n / 8;
+  std::fill(out.begin() + n / 8, out.begin() + n / 8 + run, 0x00);
+  std::fill(out.begin() + n / 2, out.begin() + n / 2 + run, 0xab);
+  return out;
+}
+
+TEST(ContentReferenceTest, ChunkBoundariesMatchByteAtATimeReference) {
+  struct Geometry {
+    bool chunk;
+    uint32_t min, avg, max;
+  };
+  const Geometry kGeometries[] = {
+      {true, 49, 64, 64},           // max forces every cut
+      {true, 1024, 1024, 1024},     // min == max
+      {true, 2048, 8192, 65536},    // defaults
+      {false, 2048, 8192, 65536},   // chunk off: fixed avg-sized pieces
+  };
+  bool saw_max_cut = false;
+  for (const Geometry& g : kGeometries) {
+    ContentConfig cfg;
+    cfg.chunk = g.chunk;
+    cfg.min_chunk_bytes = g.min;
+    cfg.avg_chunk_bytes = g.avg;
+    cfg.max_chunk_bytes = g.max;
+    ASSERT_TRUE(cfg.Validate().ok());
+    StagePipeline pipe(cfg);
+    const size_t kLengths[] = {0,         1,         48,        49,
+                               g.min - 1, g.min,     g.min + 1, g.max,
+                               g.max + 1, 3 * kMiB};
+    for (size_t n : kLengths) {
+      for (uint64_t seed : {41, 43}) {
+        const std::vector<uint8_t> raw =
+            seed == 41 ? MakeStream(seed, n) : MakeRunStream(seed, n);
+        const std::vector<uint64_t> got = pipe.ChunkBoundaries(raw);
+        ASSERT_EQ(got, RefChunkBoundaries(cfg, raw))
+            << "geometry " << g.min << "/" << g.avg << "/" << g.max
+            << (g.chunk ? "" : " fixed") << ", length " << n << ", seed "
+            << seed;
+        if (g.chunk && g.avg < g.max && n == 3 * kMiB) {
+          uint64_t prev = 0;
+          for (uint64_t end : got) {
+            saw_max_cut |= end - prev == g.max;
+            prev = end;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_max_cut) << "the run streams never reached a max cut";
+}
+
+TEST(ContentReferenceTest, FrameHashesMatchSerialReference) {
+  for (int combo = 0; combo < 16; ++combo) {
+    ChunkIndex index;
+    ContentConfig cfg = ComboConfig(combo, &index);
+    cfg.min_chunk_bytes = 64;
+    cfg.avg_chunk_bytes = 256;
+    cfg.max_chunk_bytes = 1024;
+    const std::vector<uint8_t> raw = MakeRunStream(47 + combo, 96 * 1024);
+    StagePipeline pipe(cfg);
+    auto encoded = pipe.Encode(raw);
+    ASSERT_TRUE(encoded.ok()) << "combo " << combo;
+    ExpectFrameHashesMatchReference(*encoded, raw);
+    EXPECT_EQ(ContentHash(raw), RefContentHash(raw));
+  }
+}
+
+// The hash kernel interleaves several chunks at once; every count of chunks
+// around its lane width, and a long chunk beside many short ones, must
+// encode to reference hashes and decode byte-identically.
+TEST(ContentReferenceTest, LaneEdgeCasesRoundTrip) {
+  for (int chunks = 0; chunks <= 9; ++chunks) {
+    for (int combo : {0, 2, 3, 7, 11, 15}) {
+      ChunkIndex index;
+      ContentConfig cfg = ComboConfig(combo, &index);
+      cfg.chunk = false;  // fixed-size pieces give exact chunk counts
+      cfg.min_chunk_bytes = 64;
+      cfg.avg_chunk_bytes = 256;
+      cfg.max_chunk_bytes = 1024;
+      // The last chunk is short whenever there is more than one.
+      const size_t n = chunks == 0 ? 0 : chunks * 256 - (chunks > 1 ? 77 : 0);
+      const std::vector<uint8_t> raw = MakeStream(53 + chunks, n);
+      StagePipeline pipe(cfg);
+      auto encoded = pipe.Encode(raw);
+      ASSERT_TRUE(encoded.ok());
+      ASSERT_EQ(encoded->stats.chunks, static_cast<uint64_t>(chunks));
+      ExpectFrameHashesMatchReference(*encoded, raw);
+      auto decoded = pipe.Decode(encoded->wire);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      EXPECT_EQ(*decoded, raw) << chunks << " chunks, combo " << combo;
+    }
+  }
+
+  // One 64 KiB zero-run chunk among ~1000 short random chunks, at several
+  // positions so the long lane overlaps both full and draining lane sets.
+  for (size_t at : {size_t{0}, size_t{3000}, size_t{60 * 1024}}) {
+    ChunkIndex index;
+    ContentConfig cfg;
+    cfg.chunk = cfg.dedup = cfg.crc = true;
+    cfg.min_chunk_bytes = 49;
+    cfg.avg_chunk_bytes = 64;
+    cfg.max_chunk_bytes = 64 * 1024;
+    cfg.index = &index;
+    std::vector<uint8_t> raw = MakeStream(59, 128 * 1024);
+    std::fill(raw.begin() + at, raw.begin() + at + 64 * 1024, 0);
+    StagePipeline pipe(cfg);
+    auto encoded = pipe.Encode(raw);
+    ASSERT_TRUE(encoded.ok());
+    uint32_t longest = 0;
+    for (const FrameMap::Frame& f : encoded->map.frames()) {
+      longest = std::max(longest, f.raw_len);
+    }
+    EXPECT_GE(longest, 32u * 1024) << "no long chunk at " << at;
+    EXPECT_GT(encoded->stats.chunks, 500u);
+    ExpectFrameHashesMatchReference(*encoded, raw);
+    auto decoded = pipe.Decode(encoded->wire);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(*decoded, raw);
+  }
+}
+
+// Golden Crc32c of the frames of one fixed stream's wire image under every
+// stage combination, recorded from the byte-at-a-time implementation. Any
+// change to chunking, hashing, framing or filler moves one of these. The
+// stream header is left out: it ends in its own Crc32c, so a Crc32c over it
+// always reaches the same residue whatever the header holds. That is also
+// why combos that differ only in `crc` (which changes decode, not the
+// frames) share a value.
+TEST(ContentReferenceTest, GoldenWireImagesForAllStageCombos) {
+  const uint32_t kGolden[16] = {
+      0x10282e71, 0x03da8e86, 0x2527bfaf, 0x9bcb780a,
+      0x97498b6c, 0xe1cf8f2d, 0xd26f8259, 0x62d445d5,
+      0x10282e71, 0x03da8e86, 0x2527bfaf, 0x9bcb780a,
+      0x97498b6c, 0xe1cf8f2d, 0xd26f8259, 0x62d445d5,
+  };
+  const std::vector<uint8_t> raw = MakeRunStream(61, 200 * 1024);
+  for (int combo = 0; combo < 16; ++combo) {
+    ChunkIndex index;
+    ContentConfig cfg = ComboConfig(combo, &index);
+    cfg.min_chunk_bytes = 64;
+    cfg.avg_chunk_bytes = 256;
+    cfg.max_chunk_bytes = 4096;
+    auto encoded = StagePipeline(cfg).Encode(raw);
+    ASSERT_TRUE(encoded.ok()) << "combo " << combo;
+    const uint32_t crc = Crc32c(
+        std::span(encoded->wire).subspan(kContentStreamHeaderBytes));
+    EXPECT_EQ(crc, kGolden[combo])
+        << "combo " << combo << " wire image moved: 0x" << std::hex << crc;
+  }
+}
+
 // ------------------------------------------------------- round-trip identity
 
 // The tentpole property: Encode then Decode is the identity for every stage
@@ -400,6 +640,55 @@ TEST(ContentAdversarialTest, DamagedWireImageIsCorruption) {
   std::vector<uint8_t> bad_header = encoded->wire;
   bad_header[5] ^= 0x80;
   decoded = pipe.Decode(bad_header);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), ErrorCode::kCorruption);
+}
+
+void StoreLe(std::vector<uint8_t>* wire, size_t at, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i, v >>= 8) {
+    (*wire)[at + i] = static_cast<uint8_t>(v);
+  }
+}
+
+// Rewrites the stream header's raw_total (bytes 24-31) and reseals the
+// header CRC (over bytes 0-31, stored at offset 32), so only the lie in the
+// field itself is left for decode to catch.
+void ForgeRawTotal(std::vector<uint8_t>* wire, uint64_t raw_total) {
+  StoreLe(wire, 24, raw_total, 8);
+  StoreLe(wire, 32, Crc32c(std::span(*wire).first(32)), 4);
+}
+
+// Header fields are sealed only by the header's own CRC, which a forger
+// recomputes. A lying raw_total or frame raw_len must come back as
+// kCorruption before decode sizes any buffer from it.
+TEST(ContentAdversarialTest, LyingRawTotalIsCorruption) {
+  ChunkIndex index;
+  ContentConfig cfg;
+  cfg.chunk = cfg.dedup = cfg.compress = cfg.crc = true;
+  cfg.index = &index;
+  const std::vector<uint8_t> raw = MakeStream(31, 64 * 1024);
+  StagePipeline pipe(cfg);
+  auto encoded = pipe.Encode(raw);
+  ASSERT_TRUE(encoded.ok());
+  ASSERT_TRUE(pipe.Decode(encoded->wire).ok());
+
+  // raw_total of 4 TiB over a 64 KiB stream.
+  std::vector<uint8_t> lying_total = encoded->wire;
+  ForgeRawTotal(&lying_total, uint64_t{1} << 42);
+  auto decoded = pipe.Decode(lying_total);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), ErrorCode::kCorruption);
+
+  // A store-backed frame claiming ~4 GiB where its index entry holds a few
+  // KiB, with raw_total forged to agree with the lie.
+  const FrameMap::Frame& first = encoded->map.frames()[0];
+  ASSERT_EQ(encoded->wire[first.wire_begin], 1) << "expected a literal";
+  ASSERT_EQ(encoded->wire[first.wire_begin + 1], 0) << "expected store-backed";
+  const uint32_t lie = 0xfffffff0u;
+  std::vector<uint8_t> lying_len = encoded->wire;
+  StoreLe(&lying_len, first.wire_begin + 4, lie, 4);
+  ForgeRawTotal(&lying_len, raw.size() - first.raw_len + lie);
+  decoded = pipe.Decode(lying_len);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), ErrorCode::kCorruption);
 }

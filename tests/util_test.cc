@@ -468,6 +468,33 @@ TEST(RandomTest, FillIsDeterministicAndCoversPartialWords) {
   EXPECT_NE(a, c);
 }
 
+// Fill is Next() laid out little-endian, 8 bytes per draw, the last draw
+// cut short, and it advances the generator by exactly those draws; at every
+// length around a word and at every alignment of the destination.
+TEST(RandomTest, FillMatchesNextLittleEndian) {
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 40; ++n) {
+      std::vector<uint8_t> buf(offset + n + 8, 0xee);
+      Rng filled(11 + n);
+      filled.Fill(std::span(buf).subspan(offset, n));
+      Rng ref(11 + n);
+      for (size_t i = 0; i < n; i += 8) {
+        uint64_t v = ref.Next();
+        for (size_t b = 0; b < 8 && i + b < n; ++b, v >>= 8) {
+          ASSERT_EQ(buf[offset + i + b], static_cast<uint8_t>(v))
+              << "offset " << offset << " length " << n << " byte " << i + b;
+        }
+      }
+      for (size_t i = 0; i < buf.size(); ++i) {
+        if (i < offset || i >= offset + n) {
+          EXPECT_EQ(buf[i], 0xee) << "wrote outside the span";
+        }
+      }
+      EXPECT_EQ(filled.Next(), ref.Next()) << "length " << n;
+    }
+  }
+}
+
 TEST(RandomTest, LogNormalIsPositive) {
   Rng rng(4);
   for (int i = 0; i < 1000; ++i) {
