@@ -221,10 +221,17 @@ Task ChargeDiskAccess(SimEnvironment* env, Volume* volume,
   if (per_disk.empty()) {
     co_return;
   }
+  // Spawn in volume order (group by group, parity last), not in the map's
+  // Disk-address order: the spawn order fixes the event order at equal
+  // times, and an address order would tie simulated output to the heap
+  // layout.
   CountdownLatch latch(env, static_cast<int>(per_disk.size()));
-  for (auto& [disk, runs] : per_disk) {
-    env->Spawn(DiskRuns(env, volume, disk, std::move(runs), policy, error,
-                        priority, &latch));
+  for (const std::unique_ptr<Disk>& disk : volume->disks()) {
+    auto it = per_disk.find(disk.get());
+    if (it != per_disk.end()) {
+      env->Spawn(DiskRuns(env, volume, it->first, std::move(it->second),
+                          policy, error, priority, &latch));
+    }
   }
   co_await latch.Wait();
 }

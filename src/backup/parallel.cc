@@ -1,120 +1,93 @@
 #include "src/backup/parallel.h"
 
 #include <cassert>
+#include <type_traits>
 
-#include "src/backup/supervisor.h"
+#include "src/backup/pipeline.h"
 
 namespace bkup {
 
 namespace {
 
-// One logical part: functional dump of a subtree, then replay to its drive.
-Task LogicalPart(Filer* filer, Filesystem* fs, TapeDrive* drive,
-                 LogicalDumpOptions options, LogicalBackupJobResult* part,
-                 CountdownLatch* latch, const SupervisionPolicy* supervision,
-                 std::vector<Tape*> spare_tapes, BackupQos qos,
-                 ContentConfig content) {
-  SimEnvironment* env = filer->env();
-  JobReport& report = part->report;
-  report.name = "Logical backup [" + options.subtree + "]";
-  report.start_time = env->now();
-  report.cpu_busy_start = filer->cpu().BusyIntegral();
-
-  if (supervision != nullptr && supervision->skip_unreadable_files) {
-    options.skip_unreadable = true;
+// One backup part per sink, all from one shared snapshot; the caller names
+// the parts and sets their engine options. Part results are created as the
+// fan-out spawns the parts.
+template <typename ParallelResult>
+FanOutSpec FanOutOver(Filer* filer, Filesystem* fs, std::string name,
+                      SnapshotUse snapshot, std::string snapshot_name,
+                      std::vector<RemoteTarget> sinks,
+                      ParallelResult* result) {
+  FanOutSpec spec;
+  spec.filer = filer;
+  spec.fs = fs;
+  spec.name = std::move(name);
+  spec.snapshot = std::move(snapshot);
+  spec.snapshot_name = std::move(snapshot_name);
+  for (RemoteTarget& sink : sinks) {
+    BackupSpec part;
+    part.filer = filer;
+    part.fs = fs;
+    part.sink = std::move(sink);
+    spec.parts.push_back(std::move(part));
   }
-  Result<FsReader> reader = fs->SnapshotReader(options.snapshot_name);
-  if (!reader.ok()) {
-    report.status = reader.status();
-    latch->CountDown();
-    co_return;
-  }
-  Result<LogicalDumpOutput> dump = RunLogicalDump(*reader, options);
-  if (!dump.ok()) {
-    report.status = dump.status();
-    latch->CountDown();
-    co_return;
-  }
-  part->dump = std::move(*dump);
-  report.faults.files_skipped += part->dump.stats.files_skipped;
-
-  ReplayConfig cfg;
-  cfg.filer = filer;
-  cfg.volume = fs->volume();
-  cfg.tape = drive;
-  cfg.spare_tapes = std::move(spare_tapes);
-  cfg.supervision = supervision;
-  cfg.qos = qos;
-  cfg.content = content;
-  CountdownLatch replay_done(env, 1);
-  env->Spawn(ReplayToTape(cfg, &part->dump.trace, part->dump.stream, &report,
-                          &replay_done));
-  co_await replay_done.Wait();
-
-  report.end_time = env->now();
-  report.cpu_busy_end = filer->cpu().BusyIntegral();
-  report.data_bytes = part->dump.stats.data_blocks * kBlockSize;
-  latch->CountDown();
+  spec.attach = [result](BackupSpec* part) {
+    using PartResult =
+        typename decltype(result->parts)::value_type::element_type;
+    result->parts.push_back(std::make_unique<PartResult>());
+    part->report = &result->parts.back()->report;
+    if constexpr (std::is_same_v<PartResult, LogicalBackupJobResult>) {
+      part->logical = &result->parts.back()->dump;
+    } else {
+      part->image = &result->parts.back()->dump;
+    }
+  };
+  spec.control = &result->control;
+  spec.merged = &result->merged;
+  return spec;
 }
 
-Task ImagePart(Filer* filer, Filesystem* fs, TapeDrive* drive,
-               ImageDumpOptions options, ImageBackupJobResult* part,
-               CountdownLatch* latch, const SupervisionPolicy* supervision,
-               std::vector<Tape*> spare_tapes, BackupQos qos,
-               ContentConfig content) {
-  SimEnvironment* env = filer->env();
-  JobReport& report = part->report;
-  report.name = "Physical backup [part " +
-                std::to_string(options.part_index) + "/" +
-                std::to_string(options.part_count) + "]";
-  report.start_time = env->now();
-  report.cpu_busy_start = filer->cpu().BusyIntegral();
-
-  Result<ImageDumpOutput> dump = RunImageDump(fs->volume(), options);
-  if (!dump.ok()) {
-    report.status = dump.status();
-    latch->CountDown();
-    co_return;
+// Stripes the image dump: part k of N to sink k.
+Task StripedImageBackup(FanOutSpec spec, const std::string& part_name,
+                        const ImageDumpOptions& base_options,
+                        CountdownLatch* done) {
+  const size_t n = spec.parts.size();
+  for (size_t k = 0; k < n; ++k) {
+    BackupSpec& part = spec.parts[k];
+    part.name = part_name + " [part " + std::to_string(k) + "/" +
+                std::to_string(n) + "]";
+    part.image_options = base_options;
+    part.image_options.part_index = static_cast<uint32_t>(k);
+    part.image_options.part_count = static_cast<uint32_t>(n);
   }
-  part->dump = std::move(*dump);
-
-  ReplayConfig cfg;
-  cfg.filer = filer;
-  cfg.volume = fs->volume();
-  cfg.tape = drive;
-  cfg.spare_tapes = std::move(spare_tapes);
-  cfg.supervision = supervision;
-  cfg.qos = qos;
-  cfg.content = content;
-  CountdownLatch replay_done(env, 1);
-  env->Spawn(ReplayToTape(cfg, &part->dump.trace, part->dump.stream, &report,
-                          &replay_done));
-  co_await replay_done.Wait();
-
-  report.end_time = env->now();
-  report.cpu_busy_end = filer->cpu().BusyIntegral();
-  report.data_bytes = part->dump.stats.blocks_dumped * kBlockSize;
-  latch->CountDown();
+  return FanOutBody(std::move(spec), done);
 }
 
-// The stacker slice for part `k`: per-drive remount media, empty when the
-// caller supplied none.
-std::vector<Tape*> SpareSlice(const std::vector<std::vector<Tape*>>& spares,
-                              size_t k) {
-  return k < spares.size() ? spares[k] : std::vector<Tape*>{};
+// Per-drive sinks on the filer, drawing remount media from the stacker
+// slice `spare_tapes[k]` (empty when the caller supplied none).
+std::vector<RemoteTarget> LocalSinks(
+    const std::vector<TapeDrive*>& drives,
+    const std::vector<std::vector<Tape*>>& spare_tapes,
+    const SupervisionPolicy* supervision, BackupQos qos,
+    const ContentConfig& content) {
+  std::vector<RemoteTarget> sinks;
+  for (size_t k = 0; k < drives.size(); ++k) {
+    sinks.push_back(LocalMedia(drives[k],
+                               k < spare_tapes.size() ? spare_tapes[k]
+                                                      : std::vector<Tape*>{},
+                               supervision, qos, content));
+  }
+  return sinks;
 }
 
-std::vector<JobReport> CollectReports(
-    const JobReport* control,
-    const std::vector<std::unique_ptr<LogicalBackupJobResult>>& parts) {
+template <typename PartResult>
+void MergeParts(const char* name,
+                const std::vector<std::unique_ptr<PartResult>>& parts,
+                JobReport* merged) {
   std::vector<JobReport> reports;
-  if (control != nullptr) {
-    reports.push_back(*control);
-  }
   for (const auto& p : parts) {
     reports.push_back(p->report);
   }
-  return reports;
+  *merged = MergeReports(name, reports);
 }
 
 }  // namespace
@@ -129,52 +102,17 @@ Task ParallelLogicalBackupJob(Filer* filer, Filesystem* fs,
                               std::vector<std::vector<Tape*>> spare_tapes,
                               BackupQos qos, ContentConfig content) {
   assert(drives.size() == subtrees.size() && !drives.empty());
-  SimEnvironment* env = filer->env();
-  JobReport& control = result->control;
-  control.name = "Parallel logical backup (control)";
-  control.start_time = env->now();
-  control.cpu_busy_start = filer->cpu().BusyIntegral();
-
-  const std::string snap = base_options.snapshot_name.empty()
-                               ? "dump.parallel"
-                               : base_options.snapshot_name;
-  control.status = fs->CreateSnapshot(snap);
-  if (!control.status.ok()) {
-    done->CountDown();
-    co_return;
-  }
-  co_await SnapshotPhase(filer, &control, JobPhase::kCreateSnapshot,
-                         filer->model().snapshot_create_time,
-                         qos.io_priority);
-
-  CountdownLatch parts_done(env, static_cast<int>(drives.size()));
+  FanOutSpec spec = FanOutOver(
+      filer, fs, "Parallel logical backup", {.default_name = "dump.parallel"},
+      base_options.snapshot_name,
+      LocalSinks(drives, spare_tapes, supervision, qos, content), result);
   for (size_t k = 0; k < drives.size(); ++k) {
-    LogicalDumpOptions options = base_options;
-    options.snapshot_name = snap;
-    options.subtree = subtrees[k];
-    options.dump_time = env->now();
-    result->parts.push_back(std::make_unique<LogicalBackupJobResult>());
-    env->Spawn(LogicalPart(filer, fs, drives[k], options,
-                           result->parts.back().get(), &parts_done,
-                           supervision, SpareSlice(spare_tapes, k), qos,
-                           content));
+    BackupSpec& part = spec.parts[k];
+    part.name = "Logical backup [" + subtrees[k] + "]";
+    part.logical_options = base_options;
+    part.logical_options.subtree = subtrees[k];
   }
-  co_await parts_done.Wait();
-
-  Status del = fs->DeleteSnapshot(snap);
-  if (!del.ok() && control.status.ok()) {
-    control.status = del;
-  }
-  co_await SnapshotPhase(filer, &control, JobPhase::kDeleteSnapshot,
-                         filer->model().snapshot_delete_time,
-                         qos.io_priority);
-  control.end_time = env->now();
-  control.cpu_busy_end = filer->cpu().BusyIntegral();
-
-  result->merged =
-      MergeReports("Parallel logical backup", CollectReports(&control,
-                                                             result->parts));
-  done->CountDown();
+  return FanOutBody(std::move(spec), done);
 }
 
 Task ParallelLogicalRestoreJob(Filer* filer, Filesystem* fs,
@@ -185,16 +123,20 @@ Task ParallelLogicalRestoreJob(Filer* filer, Filesystem* fs,
                                CountdownLatch* done, ContentConfig content) {
   assert(drives.size() == target_dirs.size() && !drives.empty());
   SimEnvironment* env = filer->env();
-  CountdownLatch parts_done(env, static_cast<int>(drives.size()));
-  for (size_t k = 0; k < drives.size(); ++k) {
-    if (target_dirs[k] != "/" && !fs->LookupPath(target_dirs[k]).ok()) {
-      Result<Inum> made = fs->Mkdir(target_dirs[k], 0755);
+  // Every target dir exists before any part starts: a part spawned ahead of
+  // a failing Mkdir would outlive this frame and its latch.
+  for (const std::string& dir : target_dirs) {
+    if (dir != "/" && !fs->LookupPath(dir).ok()) {
+      Result<Inum> made = fs->Mkdir(dir, 0755);
       if (!made.ok()) {
         result->merged.status = made.status();
         done->CountDown();
         co_return;
       }
     }
+  }
+  CountdownLatch parts_done(env, static_cast<int>(drives.size()));
+  for (size_t k = 0; k < drives.size(); ++k) {
     LogicalRestoreOptions options;
     options.target_dir = target_dirs[k];
     result->parts.push_back(std::make_unique<LogicalRestoreJobResult>());
@@ -203,11 +145,7 @@ Task ParallelLogicalRestoreJob(Filer* filer, Filesystem* fs,
                                  nullptr, content));
   }
   co_await parts_done.Wait();
-  std::vector<JobReport> reports;
-  for (const auto& p : result->parts) {
-    reports.push_back(p->report);
-  }
-  result->merged = MergeReports("Parallel logical restore", reports);
+  MergeParts("Parallel logical restore", result->parts, &result->merged);
   done->CountDown();
 }
 
@@ -221,60 +159,40 @@ Task ParallelImageBackupJob(Filer* filer, Filesystem* fs,
                             std::vector<std::vector<Tape*>> spare_tapes,
                             BackupQos qos, ContentConfig content) {
   assert(!drives.empty());
-  SimEnvironment* env = filer->env();
-  JobReport& control = result->control;
-  control.name = "Parallel physical backup (control)";
-  control.start_time = env->now();
-  control.cpu_busy_start = filer->cpu().BusyIntegral();
+  return StripedImageBackup(
+      FanOutOver(filer, fs, "Parallel physical backup",
+                 {.default_name = "image.parallel",
+                  .reuse = true,
+                  .keep = !delete_snapshot_after},
+                 base_options.snapshot_name,
+                 LocalSinks(drives, spare_tapes, supervision, qos, content),
+                 result),
+      "Physical backup", base_options, done);
+}
 
-  const std::string snap = base_options.snapshot_name.empty()
-                               ? "image.parallel"
-                               : base_options.snapshot_name;
-  const bool created_here = !fs->FindSnapshot(snap).ok();
-  if (created_here) {
-    control.status = fs->CreateSnapshot(snap);
-    if (!control.status.ok()) {
-      done->CountDown();
-      co_return;
-    }
-    co_await SnapshotPhase(filer, &control, JobPhase::kCreateSnapshot,
-                           filer->model().snapshot_create_time,
-                           qos.io_priority);
+Task ParallelRemoteImageBackupJob(Filer* filer, Filesystem* fs, NetLink* link,
+                                  TapeServer* server,
+                                  std::vector<TapeDrive*> drives,
+                                  ImageDumpOptions base_options,
+                                  bool delete_snapshot_after,
+                                  const SupervisionPolicy* supervision,
+                                  ParallelRemoteImageBackupResult* result,
+                                  CountdownLatch* done, BackupQos qos,
+                                  ContentConfig content) {
+  assert(!drives.empty());
+  std::vector<RemoteTarget> sinks =
+      LocalSinks(drives, {}, supervision, qos, content);
+  for (RemoteTarget& sink : sinks) {
+    sink.link = link;
+    sink.server = server;
   }
-
-  CountdownLatch parts_done(env, static_cast<int>(drives.size()));
-  for (size_t k = 0; k < drives.size(); ++k) {
-    ImageDumpOptions options = base_options;
-    options.snapshot_name = snap;
-    options.part_index = static_cast<uint32_t>(k);
-    options.part_count = static_cast<uint32_t>(drives.size());
-    options.dump_time = env->now();
-    result->parts.push_back(std::make_unique<ImageBackupJobResult>());
-    env->Spawn(ImagePart(filer, fs, drives[k], options,
-                         result->parts.back().get(), &parts_done,
-                         supervision, SpareSlice(spare_tapes, k), qos,
-                         content));
-  }
-  co_await parts_done.Wait();
-
-  if (delete_snapshot_after && created_here) {
-    Status del = fs->DeleteSnapshot(snap);
-    if (!del.ok() && control.status.ok()) {
-      control.status = del;
-    }
-    co_await SnapshotPhase(filer, &control, JobPhase::kDeleteSnapshot,
-                           filer->model().snapshot_delete_time,
-                           qos.io_priority);
-  }
-  control.end_time = env->now();
-  control.cpu_busy_end = filer->cpu().BusyIntegral();
-
-  std::vector<JobReport> reports{control};
-  for (const auto& p : result->parts) {
-    reports.push_back(p->report);
-  }
-  result->merged = MergeReports("Parallel physical backup", reports);
-  done->CountDown();
+  return StripedImageBackup(
+      FanOutOver(filer, fs, "Parallel remote physical backup",
+                 {.default_name = "image.remote.parallel",
+                  .reuse = true,
+                  .keep = !delete_snapshot_after},
+                 base_options.snapshot_name, std::move(sinks), result),
+      "Remote physical backup", base_options, done);
 }
 
 Task ParallelImageRestoreJob(Filer* filer, Volume* volume,
@@ -291,11 +209,7 @@ Task ParallelImageRestoreJob(Filer* filer, Volume* volume,
                                nullptr, content));
   }
   co_await parts_done.Wait();
-  std::vector<JobReport> reports;
-  for (const auto& p : result->parts) {
-    reports.push_back(p->report);
-  }
-  result->merged = MergeReports("Parallel physical restore", reports);
+  MergeParts("Parallel physical restore", result->parts, &result->merged);
   done->CountDown();
 }
 

@@ -1,1141 +1,91 @@
+// The remote entry points of remote.h: the local jobs' bodies with the
+// stream's media on a tape server across the target's link.
 #include "src/backup/remote.h"
 
-#include <algorithm>
-#include <cassert>
-
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/backup/pipeline.h"
 
 namespace bkup {
-
-namespace {
-
-// Sender side of one remote stream: a chain of StreamConns over the same
-// byte span. The first connection carries the whole stream in the happy
-// case; when a connection fails (a frame lost beyond its retransmit budget)
-// the session drains it, reads its acked watermark, backs off per the
-// supervisor's link_retry, and resends [acked, high-watermark) on a fresh
-// connection — the network analogue of RecoverTapeWrite's remount ladder.
-// The receiver consumes connections in order from `conns()` and drains each
-// one's frames to end-of-stream, so its own write cursor always equals the
-// acked watermark the next connection resumes from.
-class StreamSession {
- public:
-  StreamSession(SimEnvironment* env, NetLink* link, std::string name,
-                std::span<const uint8_t> stream, const SupervisionPolicy* sup,
-                JobReport* report, std::string server_node = "tape-server",
-                BackupThrottle* throttle = nullptr)
-      : env_(env),
-        link_(link),
-        name_(std::move(name)),
-        server_node_(std::move(server_node)),
-        stream_(stream),
-        sup_(sup),
-        report_(report),
-        throttle_(throttle),
-        conn_feed_(env, 16) {
-    // One causal trace for the whole session: every connection, frame and
-    // reconnect incarnation shares this id (no-op without a tracer).
-    if (Tracer* tracer = env_->tracer()) {
-      ctx_ = tracer->StartTrace();
-    }
-  }
-
-  // The session's causal identity; incarnation climbs with each reconnect.
-  const TraceContext& ctx() const { return ctx_; }
-
-  // Opens the first connection; call (and await) before Send.
-  Task Start() { co_await Connect(); }
-
-  // The receiver's view: connections in the order they were made. Closed by
-  // Finish once the stream (and any recovery) is complete.
-  Channel<StreamConn*>& conns() { return conn_feed_; }
-
-  // Ships stream[begin, end); *status is Ok unless the stream failed beyond
-  // the reconnect budget. Ranges must be sent in order.
-  Task Send(uint64_t begin, uint64_t end, uint32_t tag, Status* status) {
-    last_tag_ = tag;
-    hwm_ = std::max(hwm_, end);
-    Status st;
-    co_await conns_.back()->SendRange(stream_, begin, end, tag, &st);
-    while (!st.ok() && CanRecover()) {
-      co_await RecoverOnce(&st);
-    }
-    *status = st;
-  }
-
-  // Waits out everything in flight (recovering if the tail fails), then
-  // signals end-of-stream to the receiver and settles the stats.
-  Task Finish(Status* status) {
-    Status st;
-    while (true) {
-      co_await conns_.back()->Drain(&st);
-      if (st.ok() || !CanRecover()) {
-        break;
-      }
-      co_await RecoverOnce(&st);
-    }
-    conns_.back()->CloseSend();
-    conn_feed_.Close();
-    for (const auto& conn : conns_) {
-      report_->faults.link_retransmits += conn->stats().retransmits;
-    }
-    *status = st;
-  }
-
- private:
-  bool CanRecover() const {
-    return sup_ != nullptr && attempts_ < sup_->link_retry.max_attempts;
-  }
-
-  Task Connect() {
-    conns_.push_back(std::make_unique<StreamConn>(
-        link_, name_ + "#" + std::to_string(conns_.size())));
-    conns_.back()->set_throttle(throttle_);  // QoS survives reconnects
-    conns_.back()->EnableTracing(ctx_, "filer", server_node_);
-    co_await conn_feed_.Send(conns_.back().get());
-  }
-
-  // One reconnect: retire the failed connection, resume past its ack.
-  Task RecoverOnce(Status* st) {
-    StreamConn* old = conns_.back().get();
-    ++report_->faults.link_errors;
-    if (Tracer* tracer = env_->tracer()) {
-      tracer->Instant(tracer->Track("faults"), "link.error", ctx_);
-    }
-    Status drain;  // already failed; we only need the in-flight frames done
-    co_await old->Drain(&drain);
-    old->CloseSend();
-    acked_floor_ = std::max(acked_floor_, old->acked());
-    ++attempts_;
-    co_await env_->Delay(sup_->link_retry.BackoffBefore(attempts_));
-    ++report_->faults.link_reconnects;
-    // The fresh connection is a new incarnation of the same trace: its
-    // spans and frames stay under one trace id, labeled with the count.
-    ctx_ = ctx_.NextIncarnation();
-    if (Tracer* tracer = env_->tracer()) {
-      tracer->Instant(tracer->Track("faults"), "link.reconnect", ctx_);
-    }
-    report_->faults.link_bytes_resent += hwm_ - acked_floor_;
-    co_await Connect();
-    *st = Status::Ok();
-    if (hwm_ > acked_floor_) {
-      co_await conns_.back()->SendRange(stream_, acked_floor_, hwm_,
-                                        last_tag_, st);
-    }
-  }
-
-  SimEnvironment* env_;
-  NetLink* link_;
-  std::string name_;
-  std::string server_node_;
-  TraceContext ctx_;
-  std::span<const uint8_t> stream_;
-  const SupervisionPolicy* sup_;
-  JobReport* report_;
-  BackupThrottle* throttle_;
-  Channel<StreamConn*> conn_feed_;
-  std::vector<std::unique_ptr<StreamConn>> conns_;
-  uint64_t hwm_ = 0;          // highest stream byte handed to Send
-  uint64_t acked_floor_ = 0;  // resume point carried across reconnects
-  int attempts_ = 0;          // reconnects made (cumulative budget)
-  uint32_t last_tag_ = 0;
-};
-
-// Filer-side pump: forwards produced chunks into the stream session and
-// attributes the shipped bytes to each chunk's phase. After an unrecoverable
-// stream failure it keeps draining the channel (dropping the sends) so the
-// producer can finish and the job fails cleanly instead of deadlocking.
-Task NetSenderProc(Filer* filer, StreamSession* session,
-                   Channel<StreamChunk>* chunks, const std::string& track,
-                   JobReport* report, SimEvent* sender_done) {
-  SimEnvironment* env = filer->env();
-  ScopedTraceSpan span(env->tracer(), track.c_str(), "stream",
-                       session->ctx());
-  bool failed = false;
-  while (true) {
-    std::optional<StreamChunk> chunk = co_await chunks->Recv();
-    if (!chunk.has_value()) {
-      break;
-    }
-    if (failed) {
-      continue;
-    }
-    Status st;
-    co_await session->Send(chunk->begin, chunk->end,
-                           static_cast<uint32_t>(chunk->phase), &st);
-    report->phase(chunk->phase).net_bytes += chunk->end - chunk->begin;
-    report->TouchPhase(chunk->phase, env->now(),
-                       filer->cpu().BusyIntegral());
-    if (!st.ok()) {
-      failed = true;
-      if (report->status.ok()) {
-        report->status = st;
-      }
-    }
-  }
-  Status st;
-  co_await session->Finish(&st);
-  if (!st.ok() && report->status.ok()) {
-    report->status = st;
-  }
-  sender_done->Notify();
-}
-
-// Server-side writer: drains each connection's in-order frames to the
-// drive, spanning onto spare media when the mounted one fills and running
-// the supervised retry/remount ladder on write errors — TapeWriterProc with
-// a network where the channel used to be. `stream` stands in for the
-// received payload bytes (the simulation ships offsets, not copies). The
-// write cursor skips bytes a resumed connection replays that the tape
-// already holds.
-Task RemoteTapeWriterProc(Filer* filer, RemoteTarget target,
-                          std::span<const uint8_t> stream,
-                          Channel<StreamConn*>* conn_feed,
-                          uint64_t chunk_bytes, JobReport* report,
-                          SimEvent* writer_done, std::string server_node,
-                          TraceContext ctx) {
-  SimEnvironment* env = filer->env();
-  // This coroutine *is* the server: its span lives on the server's process
-  // row, under the same trace id as the filer-side spans and the frames.
-  ScopedTraceSpan srv_span(env->tracer(), server_node,
-                           ("srv:" + report->name).c_str(), "tape.write",
-                           ctx);
-  TapeDrive* tape = target.drive;
-  size_t next_spare = 0;
-  uint64_t media_start = 0;
-  uint64_t written = 0;  // stream bytes on tape == delivered watermark
-  if (tape->loaded()) {
-    report->tapes_used.push_back(tape->tape()->label());
-    report->final_media.push_back(tape->tape()->label());
-  }
-  while (true) {
-    std::optional<StreamConn*> conn = co_await conn_feed->Recv();
-    if (!conn.has_value()) {
-      break;
-    }
-    while (true) {
-      std::optional<StreamFrame> frame = co_await (*conn)->frames().Recv();
-      if (!frame.has_value()) {
-        break;
-      }
-      if (frame->end <= written) {
-        continue;  // replayed prefix of a resumed connection
-      }
-      const uint64_t begin = std::max(frame->begin, written);
-      const uint64_t n = frame->end - begin;
-      if (tape->loaded() &&
-          tape->position() + n > tape->tape()->capacity()) {
-        if (next_spare < target.spare_tapes.size()) {
-          co_await tape->TimedLoadMedia(target.spare_tapes[next_spare++]);
-          report->tapes_used.push_back(tape->tape()->label());
-          report->final_media.push_back(tape->tape()->label());
-          media_start = begin;
-        }  // else fall through: the write fails with NoSpace below
-      }
-      Status st;
-      co_await tape->TimedWrite(stream.subspan(begin, n), &st);
-      if (!st.ok() && target.supervision != nullptr) {
-        co_await RecoverTapeWrite(env, tape, stream, begin, frame->end,
-                                  target.spare_tapes, chunk_bytes,
-                                  *target.supervision, &next_spare,
-                                  &media_start, report, &st);
-      }
-      if (!st.ok() && report->status.ok()) {
-        report->status = st;
-      }
-      written = frame->end;
-      const JobPhase phase = static_cast<JobPhase>(frame->tag);
-      report->TouchPhase(phase, env->now(), filer->cpu().BusyIntegral());
-      report->phase(phase).tape_bytes += n;
-    }
-  }
-  writer_done->Notify();
-}
-
-// Server-side reader: TapeReaderProc's loop, but each chunk read off the
-// media is shipped to the filer through the stream session instead of being
-// published as a bare watermark.
-Task RemoteTapeReaderProc(Filer* filer, RemoteTarget target,
-                          uint64_t total_bytes, uint64_t chunk_bytes,
-                          StreamSession* session, JobReport* report,
-                          SimEvent* reader_done, std::string server_node) {
-  SimEnvironment* env = filer->env();
-  ScopedTraceSpan srv_span(env->tracer(), server_node,
-                           ("srv:" + report->name).c_str(), "tape.read",
-                           session->ctx());
-  TapeDrive* tape = target.drive;
-  std::vector<uint8_t> scratch(chunk_bytes);
-  size_t next_spare = 0;
-  if (tape->loaded()) {
-    report->tapes_used.push_back(tape->tape()->label());
-  }
-  uint64_t pos = 0;
-  bool failed = false;
-  while (pos < total_bytes) {
-    uint64_t remaining_on_tape =
-        tape->loaded() ? tape->tape()->size() - tape->position() : 0;
-    if (remaining_on_tape == 0) {
-      if (next_spare >= target.spare_tapes.size()) {
-        if (report->status.ok()) {
-          report->status = Corruption("multi-volume set ended early");
-        }
-        break;
-      }
-      co_await tape->TimedLoadMedia(target.spare_tapes[next_spare++]);
-      report->tapes_used.push_back(tape->tape()->label());
-      remaining_on_tape = tape->tape()->size();
-    }
-    const uint64_t n = std::min<uint64_t>(
-        {chunk_bytes, total_bytes - pos, remaining_on_tape});
-    Status st;
-    co_await tape->TimedRead(std::span(scratch).first(n), &st);
-    if (!st.ok() && target.supervision != nullptr) {
-      const RetryPolicy& retry = target.supervision->tape_retry;
-      int attempt = 1;
-      while (!st.ok() && attempt < retry.max_attempts) {
-        ++report->faults.tape_errors;
-        ++report->faults.tape_retries;
-        TRACE_INSTANT(env, "faults", "tape.retry");
-        co_await env->Delay(retry.BackoffBefore(attempt));
-        ++attempt;
-        co_await tape->TimedRead(std::span(scratch).first(n), &st);
-      }
-      if (!st.ok()) {
-        ++report->faults.tape_errors;
-      }
-    }
-    if (!st.ok() && report->status.ok()) {
-      report->status = st;
-    }
-    if (!failed) {
-      Status sent;
-      co_await session->Send(pos, pos + n, 0, &sent);
-      if (!sent.ok()) {
-        failed = true;
-        if (report->status.ok()) {
-          report->status = sent;
-        }
-      }
-    }
-    pos += n;
-  }
-  Status st;
-  co_await session->Finish(&st);
-  if (!st.ok() && report->status.ok()) {
-    report->status = st;
-  }
-  reader_done->Notify();
-}
-
-// Wraps TapeServer::ReadRange so the progress channel closes and the
-// completion event fires when the range (or its error) is done.
-Task ReadRangeAndClose(TapeServer* server, TapeDrive* drive, uint64_t offset,
-                       uint64_t length, uint64_t chunk_bytes,
-                       Channel<uint64_t>* progress, Status* status,
-                       SimEvent* done, TraceContext ctx) {
-  co_await server->ReadRange(drive, offset, length, chunk_bytes, progress,
-                             status, ctx);
-  progress->Close();
-  done->Notify();
-}
-
-// Server-side ranged reader: reads only `ranges` off the media through
-// TapeServer::ReadRange and ships each piece to the filer at its absolute
-// stream offset, so watermarks stay monotone across the gaps the tape never
-// touches. Read errors retry the remainder of the range on the tape backoff
-// schedule (ranged reads are idempotent).
-Task RangedRemoteTapeReaderProc(Filer* filer, RemoteTarget target,
-                                std::vector<StreamRange> ranges,
-                                uint64_t chunk_bytes, StreamSession* session,
-                                JobReport* report, SimEvent* reader_done) {
-  SimEnvironment* env = filer->env();
-  TapeDrive* tape = target.drive;
-  if (tape->loaded()) {
-    report->tapes_used.push_back(tape->tape()->label());
-  }
-  bool failed = false;
-  for (const StreamRange& r : ranges) {
-    uint64_t floor = r.begin;  // delivered-to-filer cursor within the range
-    int attempt = 0;
-    while (floor < r.end && !failed) {
-      Channel<uint64_t> progress(env, 4);
-      Status read_st;
-      SimEvent range_done(env);
-      env->Spawn(ReadRangeAndClose(target.server, tape, floor, r.end - floor,
-                                   chunk_bytes, &progress, &read_st,
-                                   &range_done, session->ctx()));
-      while (true) {
-        std::optional<uint64_t> watermark = co_await progress.Recv();
-        if (!watermark.has_value()) {
-          break;
-        }
-        Status sent;
-        co_await session->Send(floor, *watermark, 0, &sent);
-        floor = *watermark;
-        if (!sent.ok()) {
-          failed = true;
-          if (report->status.ok()) {
-            report->status = sent;
-          }
-        }
-      }
-      co_await range_done.Wait();
-      if (read_st.ok() || failed) {
-        break;
-      }
-      ++report->faults.tape_errors;
-      if (target.supervision == nullptr ||
-          attempt + 1 >= target.supervision->tape_retry.max_attempts) {
-        if (report->status.ok()) {
-          report->status = read_st;
-        }
-        failed = true;
-        break;
-      }
-      ++report->faults.tape_retries;
-      TRACE_INSTANT(env, "faults", "tape.retry");
-      ++attempt;
-      co_await env->Delay(
-          target.supervision->tape_retry.BackoffBefore(attempt));
-    }
-    if (failed) {
-      break;
-    }
-  }
-  Status st;
-  co_await session->Finish(&st);
-  if (!st.ok() && report->status.ok()) {
-    report->status = st;
-  }
-  reader_done->Notify();
-}
-
-// Filer-side receive adapter for restores: turns the in-order frames of the
-// session's connections into the monotone arrived-bytes watermark
-// ReplayConsumer expects.
-Task WatermarkAdapter(Channel<StreamConn*>* conn_feed,
-                      Channel<uint64_t>* out) {
-  uint64_t hwm = 0;
-  while (true) {
-    std::optional<StreamConn*> conn = co_await conn_feed->Recv();
-    if (!conn.has_value()) {
-      break;
-    }
-    while (true) {
-      std::optional<StreamFrame> frame = co_await (*conn)->frames().Recv();
-      if (!frame.has_value()) {
-        break;
-      }
-      if (frame->end > hwm) {
-        hwm = frame->end;
-        co_await out->Send(hwm);
-      }
-    }
-  }
-  out->Close();
-}
-
-// Backup-side replay over a link: ReplayProducer on the filer feeding
-// NetSenderProc, RemoteTapeWriterProc on the server consuming the stream.
-Task ReplayToNet(ReplayConfig cfg, RemoteTarget target, const IoTrace* trace,
-                 std::span<const uint8_t> stream, JobReport* report,
-                 CountdownLatch* done) {
-  SimEnvironment* env = cfg.filer->env();
-  const std::string track = "net:" + target.link->name();
-  const std::string server_node =
-      target.server != nullptr ? target.server->name() : "tape-server";
-
-  // Content stages encode on the filer before the link: the session ships
-  // the wire image, so the StreamConn throttle, the acked floor and any
-  // reconnect resend all operate in post-stage coordinates — and a resend
-  // replays already-encoded bytes without re-charging encode CPU.
-  const bool content = target.content.enabled();
-  std::vector<uint8_t> wire;
-  FrameMap map;
-  std::span<const uint8_t> wire_view = stream;
-  if (content) {
-    Result<EncodeResult> encoded = StagePipeline(target.content).Encode(stream);
-    if (!encoded.ok()) {
-      if (report->status.ok()) {
-        report->status = encoded.status();
-      }
-      done->CountDown();
-      co_return;
-    }
-    wire = std::move(encoded->wire);
-    map = std::move(encoded->map);
-    report->content.Add(encoded->stats);
-    wire_view = wire;
-  }
-
-  StreamSession session(env, target.link, report->name, wire_view,
-                        target.supervision, report, server_node,
-                        target.qos.throttle);
-  co_await session.Start();
-
-  Channel<StreamChunk> chunks(env, cfg.pipeline_depth);
-  SimEvent writer_done(env);
-  SimEvent sender_done(env);
-  env->Spawn(RemoteTapeWriterProc(cfg.filer, target, wire_view,
-                                  &session.conns(), cfg.chunk_bytes, report,
-                                  &writer_done, server_node, session.ctx()));
-  env->Spawn(NetSenderProc(cfg.filer, &session, &chunks, track, report,
-                           &sender_done));
-
-  PhaseSpanner spans(env, report->name);
-  if (content) {
-    cfg.content = target.content;
-    Channel<StreamChunk> raw_chunks(env, cfg.pipeline_depth);
-    SimEvent adapter_done(env);
-    env->Spawn(ContentChunkAdapter(cfg, &map, &raw_chunks, &chunks, report,
-                                   &adapter_done));
-    co_await ReplayProducer(cfg, trace, &raw_chunks, &spans, report);
-    raw_chunks.Close();
-    co_await adapter_done.Wait();
-  } else {
-    co_await ReplayProducer(cfg, trace, &chunks, &spans, report);
-    chunks.Close();
-  }
-  co_await sender_done.Wait();
-  co_await writer_done.Wait();
-  spans.Close();
-  report->stream_bytes += stream.size();
-  done->CountDown();
-}
-
-// Restore-side replay over a link: RemoteTapeReaderProc on the server
-// streaming to the filer, where ReplayConsumer charges CPU/NVRAM/disk as
-// the bytes arrive.
-Task ReplayFromNet(ReplayConfig cfg, RemoteTarget target, const IoTrace* trace,
-                   std::span<const uint8_t> stream, JobReport* report,
-                   CountdownLatch* done) {
-  SimEnvironment* env = cfg.filer->env();
-  const std::string server_node =
-      target.server != nullptr ? target.server->name() : "tape-server";
-  // With content stages, `stream` is the wire image the server's media hold
-  // (the caller decoded it for the engine): the link moves wire bytes and
-  // the filer translates watermarks back to raw, paying decode CPU.
-  const bool content = cfg.content_map != nullptr;
-  const uint64_t raw_bytes =
-      content ? cfg.content_map->raw_total() : stream.size();
-  StreamSession session(env, target.link, report->name, stream,
-                        target.supervision, report, server_node,
-                        target.qos.throttle);
-  co_await session.Start();
-
-  SimEvent reader_done(env);
-  env->Spawn(RemoteTapeReaderProc(cfg.filer, target, stream.size(),
-                                  cfg.chunk_bytes, &session, report,
-                                  &reader_done, server_node));
-  Channel<uint64_t> watermarks(env, cfg.pipeline_depth);
-  Channel<uint64_t> wire_watermarks(env, cfg.pipeline_depth);
-  SimEvent adapter_done(env);
-  if (content) {
-    env->Spawn(WatermarkAdapter(&session.conns(), &wire_watermarks));
-    env->Spawn(ContentWatermarkAdapter(cfg, cfg.content_map, {},
-                                       &wire_watermarks, &watermarks, report,
-                                       &adapter_done));
-  } else {
-    env->Spawn(WatermarkAdapter(&session.conns(), &watermarks));
-  }
-
-  PhaseSpanner spans(env, report->name);
-  co_await ReplayConsumer(cfg, trace, raw_bytes, &watermarks, &spans, report);
-  co_await reader_done.Wait();
-  if (content) {
-    co_await adapter_done.Wait();
-  }
-  spans.Close();
-  report->stream_bytes += raw_bytes;
-  done->CountDown();
-}
-
-// Ranged restore-side replay over a link: only `ranges` leave the server.
-Task ReplayFromNetRanges(ReplayConfig cfg, RemoteTarget target,
-                         const IoTrace* trace,
-                         std::span<const uint8_t> stream,
-                         std::vector<StreamRange> ranges, JobReport* report,
-                         CountdownLatch* done) {
-  SimEnvironment* env = cfg.filer->env();
-  // Resume/catalog offsets are raw; with content stages, the server's media
-  // hold wire frames — translate to the frame-aligned wire cover and ship
-  // only that (the O(file) guarantee in post-stage coordinates).
-  const bool content = cfg.content_map != nullptr;
-  std::vector<StreamRange> wire_ranges;
-  if (content) {
-    wire_ranges = cfg.content_map->WireRangesOf(ranges);
-    ranges = wire_ranges;
-  }
-  uint64_t moved = 0;
-  for (const StreamRange& r : ranges) {
-    moved += r.size();
-  }
-  const uint64_t raw_bytes =
-      content ? cfg.content_map->raw_total() : stream.size();
-  const std::string server_node =
-      target.server != nullptr ? target.server->name() : "tape-server";
-  StreamSession session(env, target.link, report->name, stream,
-                        target.supervision, report, server_node,
-                        target.qos.throttle);
-  co_await session.Start();
-
-  SimEvent reader_done(env);
-  env->Spawn(RangedRemoteTapeReaderProc(cfg.filer, target, std::move(ranges),
-                                        cfg.chunk_bytes, &session, report,
-                                        &reader_done));
-  Channel<uint64_t> watermarks(env, cfg.pipeline_depth);
-  Channel<uint64_t> wire_watermarks(env, cfg.pipeline_depth);
-  SimEvent adapter_done(env);
-  if (content) {
-    env->Spawn(WatermarkAdapter(&session.conns(), &wire_watermarks));
-    env->Spawn(ContentWatermarkAdapter(cfg, cfg.content_map,
-                                       std::move(wire_ranges),
-                                       &wire_watermarks, &watermarks, report,
-                                       &adapter_done));
-  } else {
-    env->Spawn(WatermarkAdapter(&session.conns(), &watermarks));
-  }
-
-  PhaseSpanner spans(env, report->name);
-  co_await ReplayConsumer(cfg, trace, raw_bytes, &watermarks, &spans, report);
-  co_await reader_done.Wait();
-  if (content) {
-    co_await adapter_done.Wait();
-  }
-  spans.Close();
-  report->stream_bytes += moved;
-  done->CountDown();
-}
-
-ReplayConfig RemoteReplayConfig(Filer* filer, Volume* volume,
-                                const RemoteTarget& target) {
-  ReplayConfig cfg;
-  cfg.filer = filer;
-  cfg.volume = volume;
-  cfg.supervision = target.supervision;
-  // The producer's disk/CPU charges demote, but the byte cap is enforced at
-  // the wire (StreamConn's per-frame acquire) — never both, or every byte
-  // would be drawn from the bucket twice.
-  cfg.qos.io_priority = target.qos.io_priority;
-  return cfg;
-}
-
-// Concatenation of the server-side media set (restore input). Resent bytes
-// were skipped at write time, so the media splice back into one stream.
-std::vector<uint8_t> SpliceMedia(const RemoteTarget& target) {
-  std::vector<uint8_t> stream;
-  std::span<const uint8_t> first = target.drive->tape()->contents();
-  stream.assign(first.begin(), first.end());
-  for (Tape* t : target.spare_tapes) {
-    stream.insert(stream.end(), t->contents().begin(), t->contents().end());
-  }
-  return stream;
-}
-
-Task RemoteImagePart(Filer* filer, Filesystem* fs, RemoteTarget target,
-                     ImageDumpOptions options, ImageBackupJobResult* part,
-                     CountdownLatch* latch) {
-  SimEnvironment* env = filer->env();
-  JobReport& report = part->report;
-  report.name = "Remote physical backup [part " +
-                std::to_string(options.part_index) + "/" +
-                std::to_string(options.part_count) + "]";
-  report.start_time = env->now();
-  report.cpu_busy_start = filer->cpu().BusyIntegral();
-
-  Result<ImageDumpOutput> dump = RunImageDump(fs->volume(), options);
-  if (!dump.ok()) {
-    report.status = dump.status();
-    latch->CountDown();
-    co_return;
-  }
-  part->dump = std::move(*dump);
-
-  ReplayConfig cfg = RemoteReplayConfig(filer, fs->volume(), target);
-  CountdownLatch replay_done(env, 1);
-  env->Spawn(ReplayToNet(cfg, target, &part->dump.trace, part->dump.stream,
-                         &report, &replay_done));
-  co_await replay_done.Wait();
-
-  report.end_time = env->now();
-  report.cpu_busy_end = filer->cpu().BusyIntegral();
-  report.data_bytes = part->dump.stats.blocks_dumped * kBlockSize;
-  latch->CountDown();
-}
-
-}  // namespace
 
 Task RemoteLogicalBackupJob(Filer* filer, Filesystem* fs, RemoteTarget target,
                             LogicalDumpOptions options,
                             LogicalBackupJobResult* result,
                             CountdownLatch* done) {
-  SimEnvironment* env = filer->env();
-  JobReport& report = result->report;
-  report.name = "Remote logical backup";
-  report.start_time = env->now();
-  report.cpu_busy_start = filer->cpu().BusyIntegral();
-
-  const std::string snap =
-      options.snapshot_name.empty() ? "dump.remote" : options.snapshot_name;
-  options.snapshot_name = snap;
-  report.status = fs->CreateSnapshot(snap);
-  if (!report.status.ok()) {
-    done->CountDown();
-    co_return;
-  }
-  co_await SnapshotPhase(filer, &report, JobPhase::kCreateSnapshot,
-                         filer->model().snapshot_create_time,
-                         target.qos.io_priority);
-
-  options.dump_time = env->now();
-  if (target.supervision != nullptr &&
-      target.supervision->skip_unreadable_files) {
-    options.skip_unreadable = true;
-  }
-  Result<FsReader> reader = fs->SnapshotReader(snap);
-  if (!reader.ok()) {
-    report.status = reader.status();
-    done->CountDown();
-    co_return;
-  }
-  Result<LogicalDumpOutput> dump = RunLogicalDump(*reader, options);
-  if (!dump.ok()) {
-    report.status = dump.status();
-    done->CountDown();
-    co_return;
-  }
-  result->dump = std::move(*dump);
-  report.faults.files_skipped += result->dump.stats.files_skipped;
-
-  ReplayConfig cfg = RemoteReplayConfig(filer, fs->volume(), target);
-  CountdownLatch replay_done(env, 1);
-  env->Spawn(ReplayToNet(cfg, target, &result->dump.trace,
-                         result->dump.stream, &report, &replay_done));
-  co_await replay_done.Wait();
-
-  Status del = fs->DeleteSnapshot(snap);
-  if (!del.ok() && report.status.ok()) {
-    report.status = del;
-  }
-  co_await SnapshotPhase(filer, &report, JobPhase::kDeleteSnapshot,
-                         filer->model().snapshot_delete_time,
-                         target.qos.io_priority);
-
-  report.end_time = env->now();
-  report.cpu_busy_end = filer->cpu().BusyIntegral();
-  report.data_bytes = result->dump.stats.data_blocks * kBlockSize;
-  done->CountDown();
+  return BackupBody({.filer = filer,
+                     .fs = fs,
+                     .name = "Remote logical backup",
+                     .sink = std::move(target),
+                     .snapshot = {.default_name = "dump.remote"},
+                     .report = &result->report,
+                     .logical = &result->dump,
+                     .logical_options = std::move(options)},
+                    done);
 }
 
 Task RemoteLogicalRestoreJob(Filer* filer, Filesystem* fs, RemoteTarget target,
                              LogicalRestoreOptions options, bool bypass_nvram,
                              LogicalRestoreJobResult* result,
                              CountdownLatch* done) {
-  SimEnvironment* env = filer->env();
-  JobReport& report = result->report;
-  report.name = bypass_nvram ? "Remote logical restore (NVRAM bypass)"
-                             : "Remote logical restore";
-  report.start_time = env->now();
-  report.cpu_busy_start = filer->cpu().BusyIntegral();
-
-  if (!target.drive->loaded()) {
-    report.status = FailedPrecondition("no tape loaded for restore");
-    done->CountDown();
-    co_return;
-  }
-  const std::vector<uint8_t> stream = SpliceMedia(target);
-
-  // With content stages, the media hold the wire image: decode it for the
-  // engine (verifying every store-backed frame); the replay below still
-  // moves wire bytes over the link.
-  FrameMap content_map;
-  std::vector<uint8_t> decoded;
-  std::span<const uint8_t> raw_stream = stream;
-  if (target.content.enabled()) {
-    Result<FrameMap> map = FrameMap::FromWire(stream);
-    if (!map.ok()) {
-      report.status = map.status();
-      done->CountDown();
-      co_return;
-    }
-    Result<std::vector<uint8_t>> raw =
-        StagePipeline(target.content).Decode(stream, &report.content);
-    if (!raw.ok()) {
-      report.status = raw.status();
-      done->CountDown();
-      co_return;
-    }
-    content_map = std::move(*map);
-    decoded = std::move(*raw);
-    raw_stream = decoded;
-  }
-
-  fs->MarkCpCounters();
-  Result<LogicalRestoreOutput> restored =
-      RunLogicalRestore(fs, raw_stream, options);
-  if (!restored.ok()) {
-    report.status = restored.status();
-    done->CountDown();
-    co_return;
-  }
-  result->restore = std::move(*restored);
-
-  const uint64_t data_writes = fs->cp_data_writes_since_mark();
-  const uint64_t meta_writes = fs->cp_meta_writes_since_mark();
-  ReplayConfig cfg = RemoteReplayConfig(filer, fs->volume(), target);
-  cfg.charge_nvram = !bypass_nvram;
-  cfg.count_net_bytes = true;
-  cfg.write_meta_multiplier =
-      data_writes > 0
-          ? static_cast<double>(meta_writes) / static_cast<double>(data_writes)
-          : 0.5;
-  if (target.content.enabled()) {
-    cfg.content = target.content;
-    cfg.content_map = &content_map;
-  }
-
-  CountdownLatch replay_done(env, 1);
-  env->Spawn(ReplayFromNet(cfg, target, &result->restore.trace, stream,
-                           &report, &replay_done));
-  co_await replay_done.Wait();
-
-  report.end_time = env->now();
-  report.cpu_busy_end = filer->cpu().BusyIntegral();
-  report.data_bytes = result->restore.stats.bytes_restored;
-  done->CountDown();
+  return RestoreBody({.filer = filer,
+                      .name = bypass_nvram
+                                  ? "Remote logical restore (NVRAM bypass)"
+                                  : "Remote logical restore",
+                      .source = std::move(target),
+                      .report = &result->report,
+                      .fs = fs,
+                      .options = std::move(options),
+                      .bypass_nvram = bypass_nvram,
+                      .logical = &result->restore},
+                     done);
 }
 
 Task RemoteSingleFileRestoreJob(Filer* filer, Filesystem* fs,
                                 RemoteTarget target,
-                                const TapeCatalog* catalog,
-                                std::string path,  // by value: outlives spawn
+                                const TapeCatalog* catalog, std::string path,
                                 LogicalRestoreOptions options,
                                 bool bypass_nvram, LinkBudget* budget,
                                 RemoteSingleFileRestoreResult* result,
                                 CountdownLatch* done) {
-  SimEnvironment* env = filer->env();
-  JobReport& report = result->report;
-  report.name = "Remote single-file restore";
-  report.start_time = env->now();
-  report.cpu_busy_start = filer->cpu().BusyIntegral();
-
-  if (!target.drive->loaded()) {
-    report.status = FailedPrecondition("no tape loaded for restore");
-    done->CountDown();
-    co_return;
-  }
-  if (catalog == nullptr) {
-    report.status = InvalidArgument("single-file restore needs a catalog");
-    done->CountDown();
-    co_return;
-  }
-  // Single-media only: the ranged reads address the mounted tape directly.
-  const std::span<const uint8_t> stream = target.drive->tape()->contents();
-  result->full_stream_bytes = stream.size();
-
-  // With content stages, the tape holds the wire image: decode it for the
-  // name table and the engine; budget and link accounting below move to
-  // post-stage wire coordinates.
-  const bool content = target.content.enabled();
-  FrameMap content_map;
-  std::vector<uint8_t> decoded;
-  std::span<const uint8_t> raw_stream = stream;
-  if (content) {
-    Result<FrameMap> map = FrameMap::FromWire(stream);
-    if (!map.ok()) {
-      report.status = map.status();
-      done->CountDown();
-      co_return;
-    }
-    Result<std::vector<uint8_t>> raw =
-        StagePipeline(target.content).Decode(stream, &report.content);
-    if (!raw.ok()) {
-      report.status = raw.status();
-      done->CountDown();
-      co_return;
-    }
-    content_map = std::move(*map);
-    decoded = std::move(*raw);
-    raw_stream = decoded;
-  }
-  // Catalog ranges are raw; what the link will move is their frame-aligned
-  // wire cover.
-  auto LinkSizeOf = [&](const std::vector<StreamRange>& raw_ranges) {
-    uint64_t total = 0;
-    if (content) {
-      for (const StreamRange& r : content_map.WireRangesOf(raw_ranges)) {
-        total += r.size();
-      }
-    } else {
-      for (const StreamRange& r : raw_ranges) {
-        total += r.size();
-      }
-    }
-    return total;
-  };
-
-  // Reserve the link allowance up front from the catalog's estimate — the
-  // ranges the restore will pull, known before any byte moves.
-  uint64_t estimate = 0;
-  {
-    Result<RestoreCatalog> names = BuildRestoreCatalog(raw_stream);
-    if (!names.ok()) {
-      report.status = names.status();
-      done->CountDown();
-      co_return;
-    }
-    Result<Inum> selected = names->Namei(path);
-    if (!selected.ok()) {
-      report.status = selected.status();
-      done->CountDown();
-      co_return;
-    }
-    const std::vector<Inum> wanted = names->Descendants(*selected);
-    estimate = LinkSizeOf(catalog->RestoreRanges(wanted));
-  }
-  if (budget != nullptr && !budget->TryReserve(estimate)) {
-    result->budget_rejected = true;
-    report.status = Exhausted("link budget rejected single-file restore");
-    done->CountDown();
-    co_return;
-  }
-
-  options.select = {path};
+  options.select = {std::move(path)};
   options.catalog = catalog;
-  fs->MarkCpCounters();
-  Result<LogicalRestoreOutput> restored =
-      RunLogicalRestore(fs, raw_stream, options);
-  if (!restored.ok()) {
-    if (budget != nullptr) {
-      budget->Cancel(estimate);
-    }
-    report.status = restored.status();
-    done->CountDown();
-    co_return;
-  }
-  result->restore = std::move(*restored);
-
-  const uint64_t data_writes = fs->cp_data_writes_since_mark();
-  const uint64_t meta_writes = fs->cp_meta_writes_since_mark();
-  ReplayConfig cfg = RemoteReplayConfig(filer, fs->volume(), target);
-  cfg.charge_nvram = !bypass_nvram;
-  cfg.count_net_bytes = true;
-  cfg.write_meta_multiplier =
-      data_writes > 0
-          ? static_cast<double>(meta_writes) / static_cast<double>(data_writes)
-          : 0.5;
-  if (content) {
-    cfg.content = target.content;
-    cfg.content_map = &content_map;
-  }
-
-  CountdownLatch replay_done(env, 1);
-  env->Spawn(ReplayFromNetRanges(cfg, target, &result->restore.trace, stream,
-                                 result->restore.consumed_ranges, &report,
-                                 &replay_done));
-  co_await replay_done.Wait();
-
-  result->link_bytes = LinkSizeOf(result->restore.consumed_ranges);
-  if (budget != nullptr) {
-    budget->Commit(estimate, result->link_bytes);
-  }
-  MetricsRegistry::Default()
-      .GetCounter("restore.single_file.link_bytes")
-      ->Increment(result->link_bytes);
-
-  report.end_time = env->now();
-  report.cpu_busy_end = filer->cpu().BusyIntegral();
-  report.data_bytes = result->restore.stats.bytes_restored;
-  done->CountDown();
+  return RestoreBody({.filer = filer,
+                      .name = "Remote single-file restore",
+                      .source = std::move(target),
+                      .report = &result->report,
+                      .fs = fs,
+                      .options = std::move(options),
+                      .bypass_nvram = bypass_nvram,
+                      .logical = &result->restore,
+                      .single = result,
+                      .budget = budget},
+                     done);
 }
 
 Task RemoteImageBackupJob(Filer* filer, Filesystem* fs, RemoteTarget target,
                           ImageDumpOptions options, bool delete_snapshot_after,
                           ImageBackupJobResult* result, CountdownLatch* done) {
-  SimEnvironment* env = filer->env();
-  JobReport& report = result->report;
-  report.name = "Remote physical backup";
-  report.start_time = env->now();
-  report.cpu_busy_start = filer->cpu().BusyIntegral();
-
-  const std::string snap =
-      options.snapshot_name.empty() ? "image.remote" : options.snapshot_name;
-  options.snapshot_name = snap;
-  const bool created_here = !fs->FindSnapshot(snap).ok();
-  if (created_here) {
-    report.status = fs->CreateSnapshot(snap);
-    if (!report.status.ok()) {
-      done->CountDown();
-      co_return;
-    }
-    co_await SnapshotPhase(filer, &report, JobPhase::kCreateSnapshot,
-                           filer->model().snapshot_create_time,
-                           target.qos.io_priority);
-  }
-
-  options.dump_time = env->now();
-  Result<ImageDumpOutput> dump = RunImageDump(fs->volume(), options);
-  if (!dump.ok()) {
-    report.status = dump.status();
-    done->CountDown();
-    co_return;
-  }
-  result->dump = std::move(*dump);
-
-  ReplayConfig cfg = RemoteReplayConfig(filer, fs->volume(), target);
-  CountdownLatch replay_done(env, 1);
-  env->Spawn(ReplayToNet(cfg, target, &result->dump.trace,
-                         result->dump.stream, &report, &replay_done));
-  co_await replay_done.Wait();
-
-  if (delete_snapshot_after && created_here) {
-    Status del = fs->DeleteSnapshot(snap);
-    if (!del.ok() && report.status.ok()) {
-      report.status = del;
-    }
-    co_await SnapshotPhase(filer, &report, JobPhase::kDeleteSnapshot,
-                           filer->model().snapshot_delete_time,
-                           target.qos.io_priority);
-  }
-
-  report.end_time = env->now();
-  report.cpu_busy_end = filer->cpu().BusyIntegral();
-  report.data_bytes = result->dump.stats.blocks_dumped * kBlockSize;
-  done->CountDown();
+  return BackupBody({.filer = filer,
+                     .fs = fs,
+                     .name = "Remote physical backup",
+                     .sink = std::move(target),
+                     .snapshot = {.default_name = "image.remote",
+                                  .reuse = true,
+                                  .keep = !delete_snapshot_after},
+                     .report = &result->report,
+                     .image = &result->dump,
+                     .image_options = std::move(options)},
+                    done);
 }
 
 Task RemoteImageRestoreJob(Filer* filer, Volume* volume, RemoteTarget target,
                            ImageRestoreJobResult* result,
                            CountdownLatch* done) {
-  SimEnvironment* env = filer->env();
-  JobReport& report = result->report;
-  report.name = "Remote physical restore";
-  report.start_time = env->now();
-  report.cpu_busy_start = filer->cpu().BusyIntegral();
-
-  if (!target.drive->loaded()) {
-    report.status = FailedPrecondition("no tape loaded for restore");
-    done->CountDown();
-    co_return;
-  }
-  const std::vector<uint8_t> stream = SpliceMedia(target);
-  FrameMap content_map;
-  std::vector<uint8_t> decoded;
-  std::span<const uint8_t> raw_stream = stream;
-  if (target.content.enabled()) {
-    Result<FrameMap> map = FrameMap::FromWire(stream);
-    if (!map.ok()) {
-      report.status = map.status();
-      done->CountDown();
-      co_return;
-    }
-    Result<std::vector<uint8_t>> raw =
-        StagePipeline(target.content).Decode(stream, &report.content);
-    if (!raw.ok()) {
-      report.status = raw.status();
-      done->CountDown();
-      co_return;
-    }
-    content_map = std::move(*map);
-    decoded = std::move(*raw);
-    raw_stream = decoded;
-  }
-  Result<ImageRestoreOutput> restored = RunImageRestore(volume, raw_stream);
-  if (!restored.ok()) {
-    report.status = restored.status();
-    done->CountDown();
-    co_return;
-  }
-  result->restore = std::move(*restored);
-
-  ReplayConfig cfg = RemoteReplayConfig(filer, volume, target);
-  cfg.charge_nvram = false;  // image restore bypasses the NVRAM log
-  cfg.count_net_bytes = true;
-  if (target.content.enabled()) {
-    cfg.content = target.content;
-    cfg.content_map = &content_map;
-  }
-  CountdownLatch replay_done(env, 1);
-  env->Spawn(ReplayFromNet(cfg, target, &result->restore.trace, stream,
-                           &report, &replay_done));
-  co_await replay_done.Wait();
-
-  report.end_time = env->now();
-  report.cpu_busy_end = filer->cpu().BusyIntegral();
-  report.data_bytes = result->restore.stats.blocks_restored * kBlockSize;
-  done->CountDown();
-}
-
-Task ParallelRemoteImageBackupJob(Filer* filer, Filesystem* fs, NetLink* link,
-                                  TapeServer* server,
-                                  std::vector<TapeDrive*> drives,
-                                  ImageDumpOptions base_options,
-                                  bool delete_snapshot_after,
-                                  const SupervisionPolicy* supervision,
-                                  ParallelRemoteImageBackupResult* result,
-                                  CountdownLatch* done, BackupQos qos,
-                                  ContentConfig content) {
-  assert(!drives.empty());
-  SimEnvironment* env = filer->env();
-  JobReport& control = result->control;
-  control.name = "Parallel remote physical backup (control)";
-  control.start_time = env->now();
-  control.cpu_busy_start = filer->cpu().BusyIntegral();
-
-  const std::string snap = base_options.snapshot_name.empty()
-                               ? "image.remote.parallel"
-                               : base_options.snapshot_name;
-  const bool created_here = !fs->FindSnapshot(snap).ok();
-  if (created_here) {
-    control.status = fs->CreateSnapshot(snap);
-    if (!control.status.ok()) {
-      done->CountDown();
-      co_return;
-    }
-    co_await SnapshotPhase(filer, &control, JobPhase::kCreateSnapshot,
-                           filer->model().snapshot_create_time,
-                           qos.io_priority);
-  }
-
-  CountdownLatch parts_done(env, static_cast<int>(drives.size()));
-  for (size_t k = 0; k < drives.size(); ++k) {
-    ImageDumpOptions options = base_options;
-    options.snapshot_name = snap;
-    options.part_index = static_cast<uint32_t>(k);
-    options.part_count = static_cast<uint32_t>(drives.size());
-    options.dump_time = env->now();
-    RemoteTarget target;
-    target.link = link;
-    target.server = server;
-    target.drive = drives[k];
-    target.supervision = supervision;
-    target.qos = qos;
-    target.content = content;
-    result->parts.push_back(std::make_unique<ImageBackupJobResult>());
-    env->Spawn(RemoteImagePart(filer, fs, target, options,
-                               result->parts.back().get(), &parts_done));
-  }
-  co_await parts_done.Wait();
-
-  if (delete_snapshot_after && created_here) {
-    Status del = fs->DeleteSnapshot(snap);
-    if (!del.ok() && control.status.ok()) {
-      control.status = del;
-    }
-    co_await SnapshotPhase(filer, &control, JobPhase::kDeleteSnapshot,
-                           filer->model().snapshot_delete_time,
-                           qos.io_priority);
-  }
-  control.end_time = env->now();
-  control.cpu_busy_end = filer->cpu().BusyIntegral();
-
-  std::vector<JobReport> reports{control};
-  for (const auto& p : result->parts) {
-    reports.push_back(p->report);
-  }
-  result->merged = MergeReports("Parallel remote physical backup", reports);
-  done->CountDown();
+  return RestoreBody({.filer = filer,
+                      .name = "Remote physical restore",
+                      .source = std::move(target),
+                      .report = &result->report,
+                      .volume = volume,
+                      .image = &result->restore},
+                     done);
 }
 
 }  // namespace bkup

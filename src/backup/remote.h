@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/backup/jobs.h"
+#include "src/backup/parallel.h"
 #include "src/backup/supervisor.h"
 #include "src/net/link.h"
 #include "src/net/stream_conn.h"
@@ -30,9 +31,11 @@ namespace bkup {
 
 // Where a remote job's stream lands (or comes from): one drive on a tape
 // server, reached over a link. `spare_tapes` plays the same double role as
-// in ReplayConfig — spanning set and remount pool, now on the server side.
-// A null `supervision` fails the job on the first unrecovered link or tape
-// error; with a policy, connections are re-made per `link_retry`.
+// for the local jobs — spanning set and remount pool, now on the server
+// side. A null `supervision` fails the job on the first unrecovered link or
+// tape error; with a policy, connections are re-made per `link_retry`.
+// Inside the library the same struct with a null `link` describes a local
+// drive: every job's media is a RemoteTarget (src/backup/pipeline.h).
 struct RemoteTarget {
   NetLink* link = nullptr;
   TapeServer* server = nullptr;
@@ -99,11 +102,8 @@ Task RemoteImageBackupJob(Filer* filer, Filesystem* fs, RemoteTarget target,
 Task RemoteImageRestoreJob(Filer* filer, Volume* volume, RemoteTarget target,
                            ImageRestoreJobResult* result, CountdownLatch* done);
 
-struct ParallelRemoteImageBackupResult {
-  std::vector<std::unique_ptr<ImageBackupJobResult>> parts;
-  JobReport control;
-  JobReport merged;
-};
+// The same striped dump as ParallelImageBackupJob, so the same result.
+using ParallelRemoteImageBackupResult = ParallelImageBackupResult;
 
 // Stripes one image dump over N server drives (part k of N per drive) from
 // one shared snapshot, each part on its own stream session — all of them

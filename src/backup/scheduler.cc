@@ -340,6 +340,15 @@ Task NightlyScheduler::RunOne(size_t vol, int attempt,
   const std::string snap =
       "nightly." + spec.name + ".a" + std::to_string(attempt);
   CountdownLatch job_done(env, 1);
+  // Every mode fans out to the same shape of result: a merged report and
+  // one part per drive.
+  const auto collect = [&c](const auto& result) {
+    c.merged = result.merged;
+    for (const auto& p : result.parts) {
+      c.part_status.push_back(p->report.status);
+      c.part_media.push_back(p->report.final_media);
+    }
+  };
   switch (spec.mode) {
     case BackupMode::kLogicalFull:
     case BackupMode::kLogicalIncremental: {
@@ -360,44 +369,26 @@ Task NightlyScheduler::RunOne(size_t vol, int attempt,
                                           config_.supervision, spares,
                                           config_.qos));
       co_await job_done.Wait();
-      c.merged = result.merged;
-      for (const auto& p : result.parts) {
-        c.part_status.push_back(p->report.status);
-        c.part_media.push_back(p->report.final_media);
-      }
+      collect(result);
       break;
     }
-    case BackupMode::kImage: {
-      ImageDumpOptions options;
-      options.snapshot_name = snap;
-      ParallelImageBackupResult result;
-      env->Spawn(ParallelImageBackupJob(filer_, spec.fs, drives, options,
-                                        /*delete_snapshot_after=*/true,
-                                        &result, &job_done,
-                                        config_.supervision, spares,
-                                        config_.qos));
-      co_await job_done.Wait();
-      c.merged = result.merged;
-      for (const auto& p : result.parts) {
-        c.part_status.push_back(p->report.status);
-        c.part_media.push_back(p->report.final_media);
-      }
-      break;
-    }
+    case BackupMode::kImage:
     case BackupMode::kRemoteImage: {
       ImageDumpOptions options;
       options.snapshot_name = snap;
-      ParallelRemoteImageBackupResult result;
-      env->Spawn(ParallelRemoteImageBackupJob(
-          filer_, spec.fs, config_.link, config_.server, drives, options,
-          /*delete_snapshot_after=*/true, config_.supervision, &result,
-          &job_done, config_.qos));
+      ParallelImageBackupResult result;
+      env->Spawn(spec.mode == BackupMode::kImage
+                     ? ParallelImageBackupJob(
+                           filer_, spec.fs, drives, options,
+                           /*delete_snapshot_after=*/true, &result, &job_done,
+                           config_.supervision, spares, config_.qos)
+                     : ParallelRemoteImageBackupJob(
+                           filer_, spec.fs, config_.link, config_.server,
+                           drives, options, /*delete_snapshot_after=*/true,
+                           config_.supervision, &result, &job_done,
+                           config_.qos));
       co_await job_done.Wait();
-      c.merged = result.merged;
-      for (const auto& p : result.parts) {
-        c.part_status.push_back(p->report.status);
-        c.part_media.push_back(p->report.final_media);
-      }
+      collect(result);
       break;
     }
   }

@@ -3,8 +3,8 @@
 //
 // A dump stream leaves the functional engines as *raw* bytes in raw stream
 // coordinates — the coordinates every IoTrace event, TapeCatalog offset and
-// resume checkpoint is stated in. When a ReplayConfig enables content
-// stages, the stream is encoded once, functionally, into a *wire* image:
+// resume checkpoint is stated in. When a job enables content stages,
+// the stream is encoded once, functionally, into a *wire* image:
 //
 //     raw stream --ChunkStage--> chunks --DedupStage--> literal/ref frames
 //                --CompressStage--> smaller literal payloads
@@ -83,8 +83,8 @@ class ChunkIndex {
   uint64_t stored_bytes_ = 0;
 };
 
-// Which stages run, their parameters, and their per-MB CPU prices. Lives on
-// ReplayConfig (local jobs), RemoteTarget (remote jobs) and
+// Which stages run, their parameters, and their per-MB CPU prices. Passed
+// to every job entry point (RemoteTarget carries it for remote jobs) and
 // ResumableRestoreConfig. Default: every stage off — the pre-content
 // behaviour, raw bytes end to end.
 struct ContentConfig {

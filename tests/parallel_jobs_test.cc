@@ -178,5 +178,29 @@ TEST(ParallelJobsTest, PartsRunConcurrently) {
       << "part windows must overlap (true concurrency)";
 }
 
+
+// A target dir that cannot be made fails the whole restore before any part
+// starts: a part spawned earlier would outlive the job's latch.
+TEST(ParallelJobsTest, RestoreWithUnmakeableTargetStartsNoPart) {
+  ParallelFixture f;
+  auto restore_volume = Volume::Create(&f.env, "r", Geometry());
+  auto restore_fs =
+      std::move(Filesystem::Format(restore_volume.get(), &f.env)).value();
+  const Status mkdir_error =
+      restore_fs->Mkdir("/missing/r1", 0755).status();
+  ASSERT_FALSE(mkdir_error.ok());
+
+  ParallelLogicalRestoreResult restore;
+  CountdownLatch done(&f.env, 1);
+  f.env.Spawn(ParallelLogicalRestoreJob(
+      &f.filer, restore_fs.get(), {f.drives[0].get(), f.drives[1].get()},
+      {"/r0", "/missing/r1"}, false, &restore, &done));
+  f.env.Run();
+  ASSERT_TRUE(done.done());
+  EXPECT_EQ(restore.merged.status.code(), mkdir_error.code());
+  EXPECT_EQ(restore.merged.status.ToString(), mkdir_error.ToString());
+  EXPECT_TRUE(restore.parts.empty());
+}
+
 }  // namespace
 }  // namespace bkup

@@ -3,6 +3,11 @@
 // parallelism across arms).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <new>
+#include <string>
+#include <vector>
+
 #include "src/backup/charge.h"
 #include "src/sim/sync.h"
 
@@ -187,6 +192,55 @@ TEST(ChargeTest, EmptyChargesCompleteInstantly) {
   f.env.Spawn(DoCharge(&f.env, f.volume.get(), {}, false));
   f.env.Spawn(DoSeqWrites(&f.env, f.volume.get(), 0));
   EXPECT_EQ(f.env.Run(), 0);
+}
+
+// Records the disks that finish an access, in event order.
+class AccessOrder : public DeviceFaultHook {
+ public:
+  Status OnDiskAccess(Disk* disk, uint64_t) override {
+    order.push_back(disk->name());
+    return Status::Ok();
+  }
+  Status OnTapeWrite(TapeDrive*, uint64_t, uint64_t) override {
+    return Status::Ok();
+  }
+  Status OnTapeRead(TapeDrive*, uint64_t, uint64_t) override {
+    return Status::Ok();
+  }
+  std::vector<std::string> order;
+};
+
+// One access's per-disk runs start in volume order, wherever the allocator
+// put the Disk objects. Disk-sized blocks freed lowest address first come
+// back highest first, so Volume::Create's disks get descending addresses —
+// the order an address-keyed schedule would follow. Spawn order fixes the
+// event order at equal times, so an address order would tie simulated
+// output (fault draws, per-disk series) to the heap layout.
+TEST(ChargeTest, DiskRunsStartInVolumeOrderNotAddressOrder) {
+  SimEnvironment env;
+  std::vector<void*> recycled;
+  for (int i = 0; i < 4; ++i) {
+    recycled.push_back(::operator new(sizeof(Disk)));
+  }
+  std::sort(recycled.begin(), recycled.end());
+  for (void* block : recycled) {
+    ::operator delete(block);
+  }
+  VolumeGeometry geom;
+  geom.num_raid_groups = 1;
+  geom.disks_per_group = 4;
+  geom.blocks_per_disk = 64;
+  auto volume = Volume::Create(&env, "v", geom);
+  AccessOrder hook;
+  for (const auto& disk : volume->disks()) {
+    disk->set_fault_hook(&hook);
+  }
+  // One block on each data disk of stripe 0, plus its parity: equal access
+  // times, so the hook sees the disks in the order their runs started.
+  env.Spawn(DoCharge(&env, volume.get(), {0, 1, 2}, true));
+  env.Run();
+  EXPECT_EQ(hook.order, (std::vector<std::string>{"v.rg0.d0", "v.rg0.d1",
+                                                  "v.rg0.d2", "v.rg0.d3"}));
 }
 
 }  // namespace
