@@ -309,6 +309,7 @@ Task WriteToMedia(const ReplayConfig& cfg, std::span<const uint8_t> stream,
       co_await tape->TimedLoadMedia(spares[(*next_spare)++]);
       report->tapes_used.push_back(tape->tape()->label());
       report->final_media.push_back(tape->tape()->label());
+      tape->tape()->Reserve(stream.size() - begin);
       *media_start = begin;
     }  // else fall through: the write fails with NoSpace below
   }
@@ -350,6 +351,9 @@ Task TapeWriterProc(ReplayConfig cfg, std::span<const uint8_t> stream,
   if (tape->loaded()) {
     report->tapes_used.push_back(tape->tape()->label());
     report->final_media.push_back(tape->tape()->label());
+    // Size the media's byte store for the whole stream once, so the
+    // appends below never reallocate it.
+    tape->tape()->Reserve(tape->position() + stream.size());
   }
   while (chunks != nullptr) {
     std::optional<StreamChunk> chunk = co_await chunks->Recv();
@@ -465,8 +469,10 @@ Task TapeReaderProc(ReplayConfig cfg,
           std::min<uint64_t>({kChunkBytes, r.end - pos, on_tape});
       Status st;
       co_await tape->TimedRead(std::span(scratch).first(n), &st);
+      // Unsupervised, the ladder still counts the failed read but grants
+      // no retry.
       int attempt = 0;
-      bool again = cfg.media.supervision != nullptr;
+      bool again = true;
       while (!st.ok() && again) {
         co_await TapeReadRetry(env, cfg.media.supervision, &attempt, report,
                                &again);

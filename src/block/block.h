@@ -22,6 +22,25 @@ using Dbn = uint64_t;
 
 inline constexpr Vbn kInvalidVbn = ~0ull;
 
+// Fixed-extent views of one block's bytes. The read paths fill a caller-owned
+// BlockSpan (a Block, or a slot inside a dump stream) in place.
+using BlockSpan = std::span<uint8_t, kBlockSize>;
+using ConstBlockSpan = std::span<const uint8_t, kBlockSize>;
+
+// dst ^= src, word at a time; this is the RAID-4 parity inner loop. The words
+// go through memcpy because a block's bytes carry no 8-byte alignment
+// guarantee; the compiler still vectorises the loop.
+inline void XorBlockInto(BlockSpan dst, ConstBlockSpan src) {
+  for (size_t i = 0; i < kBlockSize; i += sizeof(uint64_t)) {
+    uint64_t d;
+    uint64_t s;
+    std::memcpy(&d, dst.data() + i, sizeof(d));
+    std::memcpy(&s, src.data() + i, sizeof(s));
+    d ^= s;
+    std::memcpy(dst.data() + i, &d, sizeof(d));
+  }
+}
+
 // A 4 KB block of real bytes.
 struct Block {
   std::array<uint8_t, kBlockSize> data{};
@@ -44,19 +63,7 @@ struct Block {
                 std::min(src.size(), static_cast<size_t>(kBlockSize) - offset));
   }
 
-  void XorWith(const Block& other) {
-    // Word-at-a-time XOR; this is the RAID-4 parity inner loop. The words go
-    // through memcpy because `data` is a byte array with no 8-byte alignment
-    // guarantee; the compiler still vectorises the loop.
-    for (size_t i = 0; i < kBlockSize; i += sizeof(uint64_t)) {
-      uint64_t dst;
-      uint64_t src;
-      std::memcpy(&dst, data.data() + i, sizeof(dst));
-      std::memcpy(&src, other.data.data() + i, sizeof(src));
-      dst ^= src;
-      std::memcpy(data.data() + i, &dst, sizeof(dst));
-    }
-  }
+  void XorWith(const Block& other) { XorBlockInto(data, other.data); }
 
   bool operator==(const Block& other) const { return data == other.data; }
 };

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 namespace bkup {
 
@@ -17,7 +18,8 @@ Disk::Disk(SimEnvironment* env, std::string name, uint64_t num_blocks,
       metric_bytes_(MetricsRegistry::Default().GetCounter("disk.bytes",
                                                           {{"device", name_}})),
       metric_errors_(MetricsRegistry::Default().GetCounter(
-          "disk.errors", {{"device", name_}})) {}
+          "disk.errors", {{"device", name_}})),
+      store_(num_blocks) {}
 
 Status Disk::CheckAccess(Dbn dbn, const char* op) const {
   if (failed_) {
@@ -29,39 +31,40 @@ Status Disk::CheckAccess(Dbn dbn, const char* op) const {
   return Status::Ok();
 }
 
-Status Disk::ReadData(Dbn dbn, Block* out) const {
+Status Disk::ReadData(Dbn dbn, BlockSpan out) const {
   BKUP_ASSIGN_OR_RETURN(const Block* stored, Peek(dbn));
   if (stored == nullptr) {
-    out->Zero();
+    std::memset(out.data(), 0, kBlockSize);
   } else {
-    *out = *stored;
+    std::memcpy(out.data(), stored->data.data(), kBlockSize);
   }
   return Status::Ok();
 }
 
-Status Disk::WriteData(Dbn dbn, const Block& block) {
+Status Disk::WriteData(Dbn dbn, ConstBlockSpan data) {
   BKUP_ASSIGN_OR_RETURN(Block* stored, Slot(dbn));
-  *stored = block;
+  std::memcpy(stored->data.data(), data.data(), kBlockSize);
   return Status::Ok();
 }
 
 Result<const Block*> Disk::Peek(Dbn dbn) const {
   BKUP_RETURN_IF_ERROR(CheckAccess(dbn, "read"));
-  auto it = store_.find(dbn);
-  return it == store_.end() ? nullptr : it->second.get();
+  return store_[dbn].get();
 }
 
 Result<Block*> Disk::Slot(Dbn dbn) {
   BKUP_RETURN_IF_ERROR(CheckAccess(dbn, "write"));
-  auto [it, inserted] = store_.try_emplace(dbn);
-  if (inserted) {
-    it->second = std::make_unique<Block>();
+  std::unique_ptr<Block>& slot = store_[dbn];
+  if (slot == nullptr) {
+    slot = std::make_unique<Block>();
   }
-  return it->second.get();
+  return slot.get();
 }
 
 void Disk::ReplaceWithBlank() {
-  store_.clear();
+  for (std::unique_ptr<Block>& slot : store_) {
+    slot.reset();
+  }
   failed_ = false;
   head_ = 0;
 }

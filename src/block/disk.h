@@ -1,4 +1,4 @@
-// A simulated disk drive: a sparse in-memory block store plus a positional
+// A simulated disk drive: a dense in-memory block store plus a positional
 // timing model (seek + rotation + transfer) and a single-server "arm"
 // resource for the discrete-event simulation.
 //
@@ -13,7 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "src/block/block.h"
 #include "src/block/fault_hook.h"
@@ -50,15 +50,20 @@ class Disk {
 
   // ------------------------------------------------------------- data ---
 
-  // Reads block `dbn` into `out`; unwritten blocks read as zeros.
-  Status ReadData(Dbn dbn, Block* out) const;
-  Status WriteData(Dbn dbn, const Block& block);
+  // Reads block `dbn` into `out`; unwritten blocks read as zeros. On error
+  // `out` is left as it was.
+  Status ReadData(Dbn dbn, BlockSpan out) const;
+  Status ReadData(Dbn dbn, Block* out) const { return ReadData(dbn, out->data); }
+  Status WriteData(Dbn dbn, ConstBlockSpan data);
+  Status WriteData(Dbn dbn, const Block& block) {
+    return WriteData(dbn, block.data);
+  }
 
   // Direct access to the stored block, for in-place parity math. Both run
   // the same failed-drive and bounds checks as ReadData/WriteData. `Peek`
   // returns null for a block never written (it reads as zeros); `Slot`
   // creates a zero block on first touch. The pointer stays valid until the
-  // block store is cleared (ReplaceWithBlank).
+  // block store is emptied (ReplaceWithBlank).
   Result<const Block*> Peek(Dbn dbn) const;
   Result<Block*> Slot(Dbn dbn);
 
@@ -121,7 +126,10 @@ class Disk {
   Histogram* metric_access_us_;
   Counter* metric_bytes_;
   Counter* metric_errors_;
-  std::unordered_map<Dbn, std::unique_ptr<Block>> store_;
+  // One slot per block, null until first written: a disk is at most a few
+  // thousand blocks, so the table is a few KiB of pointers and a lookup is
+  // an index, not a hash probe.
+  std::vector<std::unique_ptr<Block>> store_;
 };
 
 }  // namespace bkup

@@ -9,6 +9,7 @@
 #ifndef BKUP_BLOCK_TAPE_H_
 #define BKUP_BLOCK_TAPE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -43,6 +44,12 @@ class Tape {
   // range starting beyond the recorded data with InvalidArgument and clamps
   // one that merely runs off its end (the defect extends into blank media).
   Status CorruptRange(uint64_t offset, uint64_t length);
+
+  // Sizes the byte store for `bytes` of recorded data (capped at capacity)
+  // so a long write appends without reallocating. Records nothing.
+  void Reserve(uint64_t bytes) {
+    bytes_.reserve(std::min(bytes, capacity_));
+  }
 
   // Wipes the media (a fresh tape from the stacker).
   void Erase() { bytes_.clear(); }

@@ -155,8 +155,18 @@ uint64_t InodeMapStreamBytes(uint32_t num_inodes) {
   return (bytes + 7) / 8 * 8;
 }
 
+uint64_t EncodedDumpDirectoryBytes(const std::vector<DirEntry>& entries) {
+  // u32 count, then per entry: u32 inum, u8 type, u16-prefixed name.
+  uint64_t bytes = 4;
+  for (const DirEntry& e : entries) {
+    bytes += 4 + 1 + 2 + e.name.size();
+  }
+  return bytes;
+}
+
 std::vector<uint8_t> EncodeDumpDirectory(const std::vector<DirEntry>& entries) {
   std::vector<uint8_t> out;
+  out.reserve(EncodedDumpDirectoryBytes(entries));
   ByteWriter w(&out);
   w.PutU32(static_cast<uint32_t>(entries.size()));
   for (const DirEntry& e : entries) {

@@ -31,6 +31,13 @@ struct DumpContext {
   void Emit(std::span<const uint8_t> bytes) {
     out.stream.insert(out.stream.end(), bytes.begin(), bytes.end());
   }
+  // Appends `n` bytes to the stream and returns them, for the engine to fill
+  // in place.
+  std::span<uint8_t> Append(size_t n) {
+    const size_t at = out.stream.size();
+    out.stream.resize(at + n);
+    return std::span(out.stream).subspan(at);
+  }
   // Indexes the record emitted since `offset` in the offset catalog and its
   // durable journal (checkpointed at the journal's cadence).
   void Index(DumpRecordType type, Inum inum, uint64_t offset) {
@@ -169,6 +176,37 @@ Status MapPhase(DumpContext* ctx) {
   return Status::Ok();
 }
 
+// Sizes the stream once, after the mapping phase has chosen what to dump, so
+// the emit phases never reallocate it: the tape header, both inode maps,
+// every dumped directory's record, every dumped file's headers plus one 4 KB
+// block per block of its size (holes included, so this is an upper bound),
+// and the end record. A sparse file's i_size can dwarf the volume, so the
+// bound is capped by the volume's size; only the touched prefix of the
+// reservation ever becomes resident.
+void ReserveStream(DumpContext* ctx) {
+  const uint64_t map_bytes =
+      kDumpRecordSize + InodeMapStreamBytes(ctx->reader->max_inodes());
+  uint64_t bound = 2 * kDumpRecordSize + 2 * map_bytes;
+  for (const auto& [inum, entries] : ctx->dirs) {
+    if (ctx->dumped.Test(inum)) {
+      bound += kDumpRecordSize +
+               (EncodedDumpDirectoryBytes(entries) + kDumpRecordSize - 1) /
+                   kDumpRecordSize * kDumpRecordSize;
+    }
+  }
+  for (const auto& [inum, inode] : ctx->file_inodes) {
+    if (ctx->dumped.Test(inum)) {
+      const uint64_t blocks = (inode.size + kBlockSize - 1) / kBlockSize;
+      const uint64_t records =
+          std::max<uint64_t>(1, (blocks + kMapBitsPerRecord - 1) /
+                                    kMapBitsPerRecord);
+      bound += records * kDumpRecordSize + blocks * kBlockSize;
+    }
+  }
+  ctx->out.stream.reserve(
+      std::min<uint64_t>(bound, ctx->reader->volume()->SizeBytes()));
+}
+
 Status EmitHeaders(DumpContext* ctx) {
   const LogicalDumpOptions& opt = *ctx->options;
   DumpRecord tape;
@@ -297,9 +335,10 @@ Status DumpFiles(DumpContext* ctx) {
       // brought the inode file through the cache (the kernel dump "generates
       // its own read-ahead policy").
 
-      // Gather the present blocks for this record.
-      std::vector<uint8_t> data;
-      Block block;
+      // Leave the header slot, then read each present block straight into
+      // the stream behind it; the header goes in once the data CRC is known.
+      const uint64_t record_offset = ctx->out.stream.size();
+      ctx->Append(kDumpRecordSize);
       uint32_t present = 0;
       for (uint32_t i = 0; i < map_count; ++i) {
         const uint32_t vbn = ptrs[fbn + i];
@@ -308,17 +347,17 @@ Status DumpFiles(DumpContext* ctx) {
           continue;
         }
         rec.block_map[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
-        BKUP_RETURN_IF_ERROR(reader.volume()->ReadBlock(vbn, &block));
-        data.insert(data.end(), block.data.begin(), block.data.end());
+        BKUP_RETURN_IF_ERROR(reader.volume()->ReadBlock(
+            vbn, ctx->Append(kBlockSize).first<kBlockSize>()));
         event.disk_reads.push_back(vbn);
         ++present;
       }
       rec.present_count = present;
-      rec.data_crc = Crc32c(data);
-      const uint64_t record_offset = ctx->out.stream.size();
+      rec.data_crc = Crc32c(std::span(ctx->out.stream)
+                                .subspan(record_offset + kDumpRecordSize));
       BKUP_ASSIGN_OR_RETURN(std::vector<uint8_t> hdr, rec.Serialize());
-      ctx->Emit(hdr);
-      ctx->Emit(data);
+      std::copy(hdr.begin(), hdr.end(),
+                ctx->out.stream.begin() + record_offset);
       ctx->Index(rec.type, inum, record_offset);
 
       event.stream_end = ctx->out.stream.size();
@@ -383,6 +422,7 @@ Result<LogicalDumpOutput> RunLogicalDump(const FsReader& reader,
   if (options.skip_unreadable) {
     BKUP_RETURN_IF_ERROR(SkipUnreadableFiles(&ctx));
   }
+  ReserveStream(&ctx);
   BKUP_RETURN_IF_ERROR(EmitHeaders(&ctx));
   BKUP_RETURN_IF_ERROR(DumpDirectories(&ctx));
   BKUP_RETURN_IF_ERROR(DumpFiles(&ctx));

@@ -1,5 +1,6 @@
 #include "src/image/image_dump.h"
 
+#include <algorithm>
 #include <optional>
 
 #include "src/obs/metrics.h"
@@ -49,6 +50,16 @@ Result<ImageDumpOutput> RunImageDump(Volume* volume,
   header.part_index = options.part_index;
   header.part_count = options.part_count;
 
+  // Size the stream once: header, this part's share of the block set (each
+  // block with room for an extent header, an upper bound), one chunk of
+  // slack for an uneven split across parts, and the trailer.
+  const uint64_t part_blocks =
+      (full_set.CountOnes() + options.part_count - 1) / options.part_count +
+      options.chunk_blocks;
+  out.stream.reserve(kBlockSize +
+                     part_blocks * (kBlockSize + ImageExtent::kEncodedSize) +
+                     ImageTrailer::kEncodedSize);
+
   BKUP_ASSIGN_OR_RETURN(Block header_block, header.Serialize());
   out.stream.insert(out.stream.end(), header_block.data.begin(),
                     header_block.data.end());
@@ -67,7 +78,6 @@ Result<ImageDumpOutput> RunImageDump(Volume* volume,
   // Chunk indices are assigned over the full set so the parts of a striped
   // multi-tape dump partition it deterministically.
   Vbn v = full_set.FindFirstSet();
-  Block block;
   uint64_t chunk_index = 0;
   while (v != Bitmap::npos) {
     // Find the end of this run.
@@ -93,16 +103,22 @@ Result<ImageDumpOutput> RunImageDump(Volume* volume,
     IoEvent& event = out.trace.events.emplace_back();
     event.phase = JobPhase::kDumpBlocks;
 
-    std::vector<uint8_t> data;
-    data.reserve(extent.count * kBlockSize);
+    // Leave the extent header's slot, read each block straight into the
+    // stream behind it, then CRC that span and fill in the header.
+    const size_t extent_at = out.stream.size();
+    const size_t data_at = extent_at + ImageExtent::kEncodedSize;
+    out.stream.resize(data_at);
     for (Vbn b = v; b <= end; ++b) {
-      BKUP_RETURN_IF_ERROR(volume->ReadBlock(b, &block));
-      data.insert(data.end(), block.data.begin(), block.data.end());
+      const size_t at = out.stream.size();
+      out.stream.resize(at + kBlockSize);
+      BKUP_RETURN_IF_ERROR(volume->ReadBlock(
+          b, std::span(out.stream).subspan(at).first<kBlockSize>()));
       event.disk_reads.push_back(b);
     }
-    extent.data_crc = Crc32c(data);
-    extent.EncodeTo(&out.stream);
-    out.stream.insert(out.stream.end(), data.begin(), data.end());
+    extent.data_crc = Crc32c(std::span(out.stream).subspan(data_at));
+    const auto encoded = extent.Encode();
+    std::copy(encoded.begin(), encoded.end(),
+              out.stream.begin() + extent_at);
 
     event.cpu.push_back({CpuCost::kPhysicalBlock, extent.count});
     event.stream_end = out.stream.size();
@@ -176,7 +192,6 @@ Result<ImageRestoreOutput> RunImageRestore(Volume* volume,
   }
 
   size_t pos = kBlockSize;
-  Block block;
   while (true) {
     if (pos + ImageTrailer::kEncodedSize > stream.size()) {
       return Corruption("image stream ended without a trailer");
@@ -225,8 +240,8 @@ Result<ImageRestoreOutput> RunImageRestore(Volume* volume,
     event.phase = JobPhase::kRestoreBlocks;
     event.disk_writes.reserve(extent.count);
     for (uint32_t i = 0; i < extent.count; ++i) {
-      block.CopyFrom(data.subspan(i * kBlockSize, kBlockSize));
-      BKUP_RETURN_IF_ERROR(volume->WriteBlock(extent.start + i, block));
+      BKUP_RETURN_IF_ERROR(volume->WriteBlock(
+          extent.start + i, data.subspan(i * kBlockSize).first<kBlockSize>()));
       event.disk_writes.push_back(extent.start + i);
     }
     pos += data_bytes;

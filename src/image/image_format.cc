@@ -1,5 +1,7 @@
 #include "src/image/image_format.h"
 
+#include <algorithm>
+
 #include "src/util/checksum.h"
 #include "src/util/serdes.h"
 
@@ -85,20 +87,19 @@ Result<ImageHeader> ImageHeader::Parse(const Block& block) {
   return h;
 }
 
-void ImageExtent::EncodeTo(std::vector<uint8_t>* out) const {
-  const size_t start_size = out->size();
-  ByteWriter w(out);
+std::array<uint8_t, ImageExtent::kEncodedSize> ImageExtent::Encode() const {
+  std::vector<uint8_t> fields;
+  fields.reserve(kEncodedSize);
+  ByteWriter w(&fields);
   w.PutU32(kImageMagic ^ 0xFFFFFFFFu);  // extent marker
   w.PutU64(start);
   w.PutU32(count);
   w.PutU32(data_crc);
   // CRC over the fields so a damaged extent header is detectable.
-  const uint32_t crc = Crc32c(
-      std::span(*out).subspan(start_size, out->size() - start_size));
-  w.PutU32(crc);
-  while (out->size() - start_size < kEncodedSize) {
-    out->push_back(0);
-  }
+  w.PutU32(Crc32c(fields));
+  std::array<uint8_t, kEncodedSize> out{};  // zero-padded
+  std::copy(fields.begin(), fields.end(), out.begin());
+  return out;
 }
 
 Result<ImageExtent> ImageExtent::Decode(std::span<const uint8_t> bytes) {

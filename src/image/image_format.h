@@ -16,6 +16,7 @@
 #ifndef BKUP_IMAGE_IMAGE_FORMAT_H_
 #define BKUP_IMAGE_IMAGE_FORMAT_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -55,7 +56,7 @@ struct ImageExtent {
 
   // Fixed 32-byte on-stream encoding.
   static constexpr size_t kEncodedSize = 32;
-  void EncodeTo(std::vector<uint8_t>* out) const;
+  std::array<uint8_t, kEncodedSize> Encode() const;
   static Result<ImageExtent> Decode(std::span<const uint8_t> bytes);
 };
 

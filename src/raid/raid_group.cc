@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 namespace bkup {
 
@@ -29,21 +30,30 @@ size_t RaidGroup::failed_count() const {
   return n;
 }
 
-Status RaidGroup::XorStripeExcept(Dbn stripe, size_t skip_column, Block* out) {
-  out->Zero();
+Status RaidGroup::CheckBounds(uint64_t gbn, const char* op) const {
+  if (gbn >= data_blocks()) {
+    return InvalidArgument(name_ + ": " + op + " past end of group");
+  }
+  return Status::Ok();
+}
+
+Status RaidGroup::XorStripeExcept(Dbn stripe, size_t skip_column,
+                                  BlockSpan out) {
+  std::memset(out.data(), 0, kBlockSize);
   for (size_t c = 0; c < disks_.size(); ++c) {
     if (c == skip_column) {
       continue;
     }
     BKUP_ASSIGN_OR_RETURN(const Block* stored, disks_[c]->Peek(stripe));
     if (stored != nullptr) {  // a never-written block reads as zeros
-      out->XorWith(*stored);
+      XorBlockInto(out, stored->data);
     }
   }
   return Status::Ok();
 }
 
-Status RaidGroup::ReadBlock(uint64_t gbn, Block* out) {
+Status RaidGroup::ReadBlock(uint64_t gbn, BlockSpan out) {
+  BKUP_RETURN_IF_ERROR(CheckBounds(gbn, "read"));
   Placement p = Locate(gbn);
   if (!p.disk->failed()) {
     return p.disk->ReadData(p.dbn, out);
@@ -55,7 +65,8 @@ Status RaidGroup::ReadBlock(uint64_t gbn, Block* out) {
   return XorStripeExcept(p.dbn, p.column, out);
 }
 
-Status RaidGroup::WriteBlock(uint64_t gbn, const Block& block) {
+Status RaidGroup::WriteBlock(uint64_t gbn, ConstBlockSpan data) {
+  BKUP_RETURN_IF_ERROR(CheckBounds(gbn, "write"));
   Placement p = Locate(gbn);
   Disk* parity = parity_disk();
 
@@ -64,25 +75,25 @@ Status RaidGroup::WriteBlock(uint64_t gbn, const Block& block) {
       return IoError(name_ + ": multiple drive failures, stripe lost");
     }
     // Degraded write: fold the new data into parity so a future
-    // reconstruction of this column yields `block`.
-    Block others;
-    // XOR of all drives except the failed data column and the parity disk.
-    others.Zero();
-    Block tmp;
+    // reconstruction of this column yields `data`. New parity is the XOR of
+    // every surviving data column and the new data.
+    Block folded;
+    folded.CopyFrom(data);
     for (size_t c = 0; c < data_width(); ++c) {
       if (c == p.column) {
         continue;
       }
-      BKUP_RETURN_IF_ERROR(disks_[c]->ReadData(p.dbn, &tmp));
-      others.XorWith(tmp);
+      BKUP_ASSIGN_OR_RETURN(const Block* stored, disks_[c]->Peek(p.dbn));
+      if (stored != nullptr) {
+        folded.XorWith(*stored);
+      }
     }
-    others.XorWith(block);
-    return parity->WriteData(p.dbn, others);
+    return parity->WriteData(p.dbn, folded);
   }
 
   if (parity->failed()) {
     // Parity offline: write data only; parity is rebuilt on replacement.
-    return p.disk->WriteData(p.dbn, block);
+    return p.disk->WriteData(p.dbn, data);
   }
 
   // Normal path: read-modify-write parity, in place on the stored blocks.
@@ -91,8 +102,8 @@ Status RaidGroup::WriteBlock(uint64_t gbn, const Block& block) {
   BKUP_ASSIGN_OR_RETURN(Block* data_slot, p.disk->Slot(p.dbn));
   BKUP_ASSIGN_OR_RETURN(Block* parity_slot, parity->Slot(p.dbn));
   parity_slot->XorWith(*data_slot);
-  parity_slot->XorWith(block);
-  *data_slot = block;
+  XorBlockInto(parity_slot->data, data);
+  data_slot->CopyFrom(data);
   return Status::Ok();
 }
 
@@ -108,7 +119,7 @@ Status RaidGroup::Reconstruct(size_t column) {
   }
   Block rebuilt;
   for (Dbn stripe = 0; stripe < blocks_per_disk_; ++stripe) {
-    BKUP_RETURN_IF_ERROR(XorStripeExcept(stripe, column, &rebuilt));
+    BKUP_RETURN_IF_ERROR(XorStripeExcept(stripe, column, rebuilt.data));
     BKUP_RETURN_IF_ERROR(target->WriteData(stripe, rebuilt));
   }
   return Status::Ok();

@@ -39,12 +39,18 @@ class RaidGroup {
   };
   Placement Locate(uint64_t gbn);
 
-  // Read with transparent reconstruction if the target drive has failed.
+  // Read into `out` with transparent reconstruction if the target drive has
+  // failed: a degraded read XORs the surviving columns straight into `out`.
   // At most one failed drive per group is survivable (RAID-4).
-  Status ReadBlock(uint64_t gbn, Block* out);
+  Status ReadBlock(uint64_t gbn, BlockSpan out);
+  Status ReadBlock(uint64_t gbn, Block* out) { return ReadBlock(gbn, out->data); }
 
-  // Write with parity maintenance (read-modify-write of data + parity).
-  Status WriteBlock(uint64_t gbn, const Block& block);
+  // Write with parity maintenance (read-modify-write of data + parity). An
+  // error leaves data and parity as they were.
+  Status WriteBlock(uint64_t gbn, ConstBlockSpan data);
+  Status WriteBlock(uint64_t gbn, const Block& block) {
+    return WriteBlock(gbn, block.data);
+  }
 
   // Rebuilds the contents of column `column` (or the parity disk when
   // `column == data_width()`) onto its current — freshly replaced — drive.
@@ -56,7 +62,9 @@ class RaidGroup {
  private:
   // XOR of every drive in the stripe except `skip_column`
   // (data_width() == parity column index convention).
-  Status XorStripeExcept(Dbn stripe, size_t skip_column, Block* out);
+  Status XorStripeExcept(Dbn stripe, size_t skip_column, BlockSpan out);
+  // InvalidArgument unless `gbn` is a data block of this group.
+  Status CheckBounds(uint64_t gbn, const char* op) const;
 
   std::string name_;
   std::vector<Disk*> disks_;

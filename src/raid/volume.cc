@@ -44,7 +44,7 @@ Volume::Placement Volume::Locate(Vbn vbn) {
   return Placement{group, g, p.disk, p.dbn, group->parity_disk()};
 }
 
-Status Volume::ReadBlock(Vbn vbn, Block* out) {
+Status Volume::ReadBlock(Vbn vbn, BlockSpan out) {
   if (vbn >= num_blocks_) {
     return InvalidArgument(name_ + ": read past end of volume");
   }
@@ -52,12 +52,12 @@ Status Volume::ReadBlock(Vbn vbn, Block* out) {
   return p.group->ReadBlock(vbn - group_start_[p.group_index], out);
 }
 
-Status Volume::WriteBlock(Vbn vbn, const Block& block) {
+Status Volume::WriteBlock(Vbn vbn, ConstBlockSpan data) {
   if (vbn >= num_blocks_) {
     return InvalidArgument(name_ + ": write past end of volume");
   }
   Placement p = Locate(vbn);
-  return p.group->WriteBlock(vbn - group_start_[p.group_index], block);
+  return p.group->WriteBlock(vbn - group_start_[p.group_index], data);
 }
 
 }  // namespace bkup

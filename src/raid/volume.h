@@ -32,8 +32,14 @@ class Volume {
   uint64_t num_blocks() const { return num_blocks_; }
   const VolumeGeometry& geometry() const { return geometry_; }
 
-  Status ReadBlock(Vbn vbn, Block* out);
-  Status WriteBlock(Vbn vbn, const Block& block);
+  // The raw block path. Reads land in a caller-owned span (a Block, or a
+  // block-sized slot of a dump stream), so a dump gathers blocks in place.
+  Status ReadBlock(Vbn vbn, BlockSpan out);
+  Status ReadBlock(Vbn vbn, Block* out) { return ReadBlock(vbn, out->data); }
+  Status WriteBlock(Vbn vbn, ConstBlockSpan data);
+  Status WriteBlock(Vbn vbn, const Block& block) {
+    return WriteBlock(vbn, block.data);
+  }
 
   struct Placement {
     RaidGroup* group;

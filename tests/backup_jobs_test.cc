@@ -412,6 +412,40 @@ TEST(BackupJobsTest, FailedRemoteLogicalDumpReleasesItsSnapshot) {
   EXPECT_EQ(failed.report.cpu_busy_end, f.filer.cpu().BusyIntegral());
 }
 
+// Without a supervision policy a failed local tape read is not retried, but
+// it is still counted, as the remote ranged reader counts it.
+TEST(BackupJobsTest, UnsupervisedTapeReadErrorIsCountedNotRetried) {
+  JobFixture f;
+  f.Populate(2 * kMiB);
+  LogicalBackupJobResult backup;
+  CountdownLatch done(&f.env, 1);
+  TapeDrive drive(&f.env, "d0");
+  drive.LoadMedia(f.tapes[0].get());
+  f.env.Spawn(LogicalBackupJob(&f.filer, f.src.get(), &drive,
+                               LogicalDumpOptions{}, &backup, &done));
+  f.env.Run();
+  ASSERT_TRUE(backup.report.status.ok()) << backup.report.status.ToString();
+
+  FaultPlan plan;
+  plan.seed = 3;
+  plan.TapeFlaky("d0", 0.5);
+  FaultInjector injector(&f.env, plan);
+  injector.Arm(&drive);
+  drive.Rewind();
+  auto dst = std::move(Filesystem::Format(f.dst_volume.get(), &f.env)).value();
+  LogicalRestoreJobResult restore;
+  CountdownLatch rdone(&f.env, 1);
+  f.env.Spawn(LogicalRestoreJob(&f.filer, dst.get(), &drive,
+                                LogicalRestoreOptions{}, false, &restore,
+                                &rdone));
+  f.env.Run();
+  ASSERT_TRUE(rdone.done());
+  EXPECT_EQ(restore.report.status.code(), ErrorCode::kIoError)
+      << restore.report.status.ToString();
+  EXPECT_GE(restore.report.faults.tape_errors, 1u);
+  EXPECT_EQ(restore.report.faults.tape_retries, 0u);
+}
+
 // ------------------------------------------------- job matrix golden ---
 // Pins the exact simulated output of every public job entry point: each
 // runs once on one small seeded volume, with content stages off and again

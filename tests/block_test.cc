@@ -2,7 +2,10 @@
 // tape library.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "src/block/block.h"
 #include "src/block/disk.h"
@@ -88,6 +91,73 @@ TEST(DiskTest, FailedDiskErrorsAllIo) {
   d.ReplaceWithBlank();
   ASSERT_TRUE(d.ReadData(3, &b).ok());
   EXPECT_TRUE(b.IsZero()) << "replacement drive must be blank";
+}
+
+TEST(DiskTest, SpanFormsMatchBlockForms) {
+  SimEnvironment env;
+  Disk d(&env, "d0", 16);
+  Rng rng(2);
+  std::vector<uint8_t> stream(3 * kBlockSize);
+  rng.Fill(stream);
+  // Write from a slot in the middle of a byte stream, read back both ways.
+  ASSERT_TRUE(d.WriteData(5, std::span(stream).subspan(100).first<kBlockSize>())
+                  .ok());
+  Block via_block;
+  ASSERT_TRUE(d.ReadData(5, &via_block).ok());
+  EXPECT_TRUE(std::equal(via_block.data.begin(), via_block.data.end(),
+                         stream.begin() + 100));
+  std::vector<uint8_t> back(kBlockSize + 8, 0xEE);
+  ASSERT_TRUE(d.ReadData(5, std::span(back).subspan(8).first<kBlockSize>())
+                  .ok());
+  EXPECT_TRUE(std::equal(back.begin() + 8, back.end(), stream.begin() + 100));
+  EXPECT_EQ(back[7], 0xEE);
+  // A never-written block reads as zeros into the span.
+  ASSERT_TRUE(d.ReadData(6, std::span(back).subspan(8).first<kBlockSize>())
+                  .ok());
+  EXPECT_TRUE(std::all_of(back.begin() + 8, back.end(),
+                          [](uint8_t b) { return b == 0; }));
+  // A rejected read leaves the caller's span alone.
+  std::fill(back.begin(), back.end(), 0xEE);
+  EXPECT_EQ(d.ReadData(16, std::span(back).first<kBlockSize>()).code(),
+            ErrorCode::kInvalidArgument);
+  d.Fail();
+  EXPECT_EQ(d.ReadData(5, std::span(back).first<kBlockSize>()).code(),
+            ErrorCode::kIoError);
+  EXPECT_TRUE(std::all_of(back.begin(), back.end(),
+                          [](uint8_t b) { return b == 0xEE; }));
+}
+
+// The store is a dense slot table: a slot stays null until its block is
+// first written, and a replaced drive starts with every slot empty.
+TEST(DiskTest, PeekIsNullUntilFirstWriteAndBlankEmptiesEverySlot) {
+  constexpr uint64_t kBlocks = 64;
+  SimEnvironment env;
+  Disk d(&env, "d0", kBlocks);
+  for (Dbn dbn = 0; dbn < kBlocks; ++dbn) {
+    Result<const Block*> stored = d.Peek(dbn);
+    ASSERT_TRUE(stored.ok());
+    EXPECT_EQ(*stored, nullptr) << "dbn " << dbn;
+  }
+  for (Dbn dbn = 0; dbn < kBlocks; dbn += 3) {
+    ASSERT_TRUE(d.WriteData(dbn, MakeBlock(0xA5)).ok());
+  }
+  Result<Block*> slot = d.Slot(kBlocks - 2);  // creates a zero block
+  ASSERT_TRUE(slot.ok());
+  EXPECT_TRUE((*slot)->IsZero());
+  for (Dbn dbn = 0; dbn < kBlocks; ++dbn) {
+    const bool written = dbn % 3 == 0 || dbn == kBlocks - 2;
+    EXPECT_EQ(*d.Peek(dbn) != nullptr, written) << "dbn " << dbn;
+  }
+  EXPECT_EQ(d.Peek(kBlocks).status().code(), ErrorCode::kInvalidArgument);
+
+  d.Fail();
+  d.ReplaceWithBlank();
+  for (Dbn dbn = 0; dbn < kBlocks; ++dbn) {
+    EXPECT_EQ(*d.Peek(dbn), nullptr) << "dbn " << dbn;
+  }
+  Block b = MakeBlock(0xA5);
+  ASSERT_TRUE(d.ReadData(0, &b).ok());
+  EXPECT_TRUE(b.IsZero());
 }
 
 TEST(DiskTest, SequentialAccessIsTransferOnly) {

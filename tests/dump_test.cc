@@ -12,12 +12,17 @@
 #include "src/dump/dumpdates.h"
 #include "src/dump/logical_dump.h"
 #include "src/dump/logical_restore.h"
+#include "src/fs/file_tree.h"
 #include "src/fs/filesystem.h"
 #include "src/util/checksum.h"
 #include "src/util/random.h"
 
 namespace bkup {
 namespace {
+
+// CRC-32C and length of the logical dump of BuildGatherTree's volume.
+constexpr uint64_t kPinnedLogicalBytes = 17894144;
+constexpr uint32_t kPinnedLogicalCrc = 0x60C1C68A;
 
 VolumeGeometry TestGeometry() {
   VolumeGeometry geom;
@@ -658,6 +663,153 @@ TEST(DumpRestoreTest, VeryLongSymlinkTargetSurvives) {
   auto target = f.dst->ReadSymlink(*inum);
   ASSERT_TRUE(target.ok());
   EXPECT_EQ(*target, deep + "/target");
+}
+
+// ---------------------------------------------------------- stream bytes ---
+
+// A seeded tree that exercises every gather shape of the file phase: a sparse
+// file with holes at its head, middle and tail, a file longer than one
+// record's map (so it continues in a kAddr record) with a hole inside its
+// first record, an empty file, a short symlink and a nested directory.
+void BuildGatherTree(DumpFixture* f) {
+  Filesystem* fs = f->src.get();
+  ASSERT_TRUE(fs->Mkdir("/dir", 0755).ok());
+  f->MustCreate(fs, "/dir/small", 3 * kBlockSize + 17, 101);
+  f->MustCreate(fs, "/empty", 0, 0);
+  auto sparse = fs->Create("/dir/sparse", 0600);
+  ASSERT_TRUE(sparse.ok());
+  ASSERT_TRUE(fs->Write(*sparse, 2 * kBlockSize, f->Bytes(kBlockSize, 102))
+                  .ok());
+  ASSERT_TRUE(fs->Write(*sparse, 9 * kBlockSize, f->Bytes(2 * kBlockSize, 103))
+                  .ok());
+  ASSERT_TRUE(fs->Truncate(*sparse, 20 * kBlockSize + 5).ok());
+  auto big = fs->Create("/big", 0644);
+  ASSERT_TRUE(big.ok());
+  const uint64_t head = kMapBitsPerRecord - 40;
+  ASSERT_TRUE(fs->Write(*big, 0, f->Bytes(head * kBlockSize, 104)).ok());
+  ASSERT_TRUE(fs->Write(*big, (head + 8) * kBlockSize,
+                        f->Bytes(300 * kBlockSize + 123, 105))
+                  .ok());
+  ASSERT_TRUE(fs->SymlinkAt("/dir/small", "/link").ok());
+}
+
+// Pins the logical dump stream byte for byte (values recorded before blocks
+// were gathered in place), and checks that the file phase really produced
+// continuation records and skipped holes.
+TEST(DumpStreamTest, LogicalStreamBytesArePinned) {
+  DumpFixture f;
+  BuildGatherTree(&f);
+  ASSERT_FALSE(HasFailure());
+  LogicalDumpOutput dump = f.Dump();
+  EXPECT_EQ(dump.stream.size(), kPinnedLogicalBytes);
+  EXPECT_EQ(Crc32c(dump.stream), kPinnedLogicalCrc);
+  EXPECT_EQ(dump.stats.holes_skipped, 18u + 8u);
+  size_t addr_records = 0;
+  for (const TapeCatalog::Entry& e : dump.catalog.entries()) {
+    addr_records += e.type == DumpRecordType::kAddr ? 1 : 0;
+  }
+  EXPECT_EQ(addr_records, 1u);
+  // Every record on the stream parses and its data matches its CRC.
+  LogicalRestoreOptions opt;
+  ASSERT_TRUE(RunLogicalRestore(f.dst.get(), dump.stream, opt).ok());
+  auto big = f.dst->LookupPath("/big");
+  ASSERT_TRUE(big.ok());
+  EXPECT_EQ(f.dst->GetAttr(*big)->size,
+            (kMapBitsPerRecord - 32 + 300) * kBlockSize + 123);
+}
+
+// A sparse file whose i_size dwarfs the volume dumps as headers plus its few
+// present blocks, and the stream's single up-front reservation stays within
+// the volume's size instead of following i_size.
+TEST(DumpStreamTest, HugeSparseFileReserveIsCappedByVolume) {
+  DumpFixture f;
+  auto inum = f.src->Create("/vast", 0644);
+  ASSERT_TRUE(inum.ok());
+  const auto tail = f.Bytes(kBlockSize, 106);
+  const uint64_t size = 64 * f.src_volume->SizeBytes();
+  ASSERT_TRUE(f.src->Write(*inum, size - kBlockSize, tail).ok());
+  ASSERT_TRUE(f.src->Write(*inum, 0, tail).ok());
+  LogicalDumpOutput dump = f.Dump();
+  const uint64_t blocks = size / kBlockSize;
+  EXPECT_EQ(dump.stats.data_blocks, 2u);
+  EXPECT_EQ(dump.stats.holes_skipped, blocks - 2);
+  EXPECT_LE(dump.stream.capacity(), f.src_volume->SizeBytes());
+  EXPECT_LT(dump.stream.size(), uint64_t{1} << 20);  // headers, not i_size
+
+  LogicalRestoreOptions opt;
+  ASSERT_TRUE(RunLogicalRestore(f.dst.get(), dump.stream, opt).ok());
+  auto restored = f.dst->LookupPath("/vast");
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(f.dst->GetAttr(*restored)->size, size);
+  std::vector<uint8_t> back;
+  ASSERT_TRUE(f.dst->Read(*restored, size - kBlockSize, kBlockSize, &back).ok());
+  EXPECT_EQ(back, tail);
+  ASSERT_TRUE(f.dst->Read(*restored, 0, kBlockSize, &back).ok());
+  EXPECT_EQ(back, tail);
+}
+
+// A block that cannot be read partway through a record's gather fails the
+// dump with the volume's own error, not a checksum or framing error.
+TEST(DumpStreamTest, BlockReadErrorMidRecordFailsTheDump) {
+  DumpFixture f;
+  f.MustCreate(f.src.get(), "/big", 600 * kBlockSize, 107);
+  ASSERT_TRUE(f.src->CreateSnapshot("s").ok());
+  auto reader = f.src->SnapshotReader("s");
+  ASSERT_TRUE(reader.ok());
+  auto inode = reader->ReadInode(*reader->LookupPath("/big"));
+  ASSERT_TRUE(inode.ok());
+  Volume* vol = f.src_volume.get();
+  auto read = [vol](Vbn v, Block* b) { return vol->ReadBlock(v, b); };
+
+  // Everything the dump reads before the file's data: the mapping and
+  // directory phases' reads and the file's indirect block. The small tree
+  // lives in the first RAID group.
+  LogicalDumpOptions opt;
+  auto clean = RunLogicalDump(*reader, opt);
+  ASSERT_TRUE(clean.ok());
+  std::vector<Vbn> meta;
+  for (const IoEvent& e : clean->trace.events) {
+    if (e.phase != JobPhase::kDumpFiles) {
+      meta.insert(meta.end(), e.disk_reads.begin(), e.disk_reads.end());
+    }
+  }
+  ASSERT_TRUE(ForEachIndirectBlock(read, *inode, [&meta](Vbn v) {
+                meta.push_back(v);
+              }).ok());
+  ASSERT_FALSE(meta.empty());
+  for (Vbn m : meta) {
+    ASSERT_EQ(vol->Locate(m).group_index, 0u) << "vbn " << m;
+  }
+
+  // Point file block 300 (mid-record) at the volume's last block, then lose
+  // that block's drive and its group's parity drive: every block before it
+  // stays readable, that one is lost.
+  const Vbn victim = vol->num_blocks() - 1;
+  const uint64_t fbn = 300;
+  Block ib;
+  ASSERT_TRUE(read(inode->single_indirect, &ib).ok());
+  for (int i = 0; i < 4; ++i) {
+    ib.data[(fbn - kDirectPointers) * 4 + i] =
+        static_cast<uint8_t>(victim >> (8 * i));
+  }
+  ASSERT_TRUE(vol->WriteBlock(inode->single_indirect, ib).ok());
+  const Volume::Placement p = vol->Locate(victim);
+  ASSERT_NE(p.group_index, 0u);
+  p.disk->Fail();
+  p.parity_disk->Fail();
+  Block probe;
+  const Status want = vol->ReadBlock(victim, &probe);
+  ASSERT_EQ(want.code(), ErrorCode::kIoError);
+
+  opt.skip_unreadable = true;  // the mapping phase itself still succeeds
+  auto skipped = RunLogicalDump(*reader, opt);
+  ASSERT_TRUE(skipped.ok()) << skipped.status().ToString();
+  EXPECT_EQ(skipped->stats.files_skipped, 1u);
+
+  opt.skip_unreadable = false;
+  auto failed = RunLogicalDump(*reader, opt);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().ToString(), want.ToString());
 }
 
 // --------------------------------------------------------------- symtable ---

@@ -12,10 +12,16 @@
 #include "src/image/blockset.h"
 #include "src/image/image_dump.h"
 #include "src/image/mirror.h"
+#include "src/util/checksum.h"
 #include "src/util/random.h"
 
 namespace bkup {
 namespace {
+
+// Length and CRC-32C of the image streams of StreamBytesArePinned's volume.
+constexpr uint64_t kPinnedImageBytes = 1249440;
+constexpr uint32_t kPinnedImageCrc = 0x6FFF7A86;
+constexpr uint32_t kPinnedImagePartCrc[2] = {0xE716745E, 0xBAA070EB};
 
 VolumeGeometry TestGeometry() {
   VolumeGeometry geom;
@@ -319,6 +325,44 @@ TEST(ImageTest, DumpStreamsInAscendingBlockOrder) {
       last = v;
     }
   }
+}
+
+// Pins the image stream byte for byte (values recorded before blocks were
+// gathered in place): a full dump, and both parts of a two-way striped dump
+// whose extents break at holes, at chunk_blocks and between files.
+TEST(ImageTest, StreamBytesArePinned) {
+  ImageFixture f;
+  ASSERT_TRUE(f.src->Mkdir("/dir", 0755).ok());
+  f.MustWrite("/dir/a", f.Bytes(3 * kBlockSize + 17, 30));
+  f.MustWrite("/big", f.Bytes(200 * kBlockSize + 9, 31));
+  auto sparse = f.src->Create("/dir/sparse", 0600);
+  ASSERT_TRUE(sparse.ok());
+  ASSERT_TRUE(
+      f.src->Write(*sparse, 5 * kBlockSize, f.Bytes(2 * kBlockSize, 32)).ok());
+  ASSERT_TRUE(f.src->Truncate(*sparse, 40 * kBlockSize).ok());
+  ASSERT_TRUE(f.src->Unlink("/dir/a").ok());  // a gap in the block set
+  f.MustWrite("/tail", f.Bytes(70 * kBlockSize, 33));
+
+  ImageDumpOutput full = f.Dump();
+  EXPECT_EQ(full.stream.size(), kPinnedImageBytes);
+  EXPECT_EQ(Crc32c(full.stream), kPinnedImageCrc);
+  EXPECT_GT(full.stats.extents, full.stats.blocks_dumped / 64);
+
+  ImageDumpOptions opt;
+  opt.snapshot_name = "xfer0";
+  opt.part_count = 2;
+  uint64_t part_blocks = 0;
+  for (uint32_t part = 0; part < 2; ++part) {
+    opt.part_index = part;
+    auto out = RunImageDump(f.src_volume.get(), opt);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(Crc32c(out->stream), kPinnedImagePartCrc[part]) << "part " << part;
+    part_blocks += out->stats.blocks_dumped;
+  }
+  EXPECT_EQ(part_blocks, full.stats.blocks_dumped);
+
+  ASSERT_TRUE(RunImageRestore(f.dst_volume.get(), full.stream).ok());
+  f.ExpectVolumesEquivalent(f.src_volume.get(), f.dst_volume.get());
 }
 
 // ----------------------------------------------------------------- mirror ---

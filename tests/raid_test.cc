@@ -2,8 +2,10 @@
 // operation, reconstruction, and volume-level placement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/raid/raid_group.h"
@@ -215,6 +217,100 @@ TEST(RaidGroupTest, ReconstructRequiresReplacedDrive) {
   GroupFixture f(3);
   f.disks[0]->Fail();
   EXPECT_EQ(f.group->Reconstruct(0).code(), ErrorCode::kFailedPrecondition);
+}
+
+// The span read path is the only implementation; the Block* form forwards to
+// it. Both must agree on written blocks, never-written blocks (zeros) and a
+// degraded read that XORs the survivors into the caller's span.
+TEST(RaidGroupTest, SpanReadMatchesBlockRead) {
+  GroupFixture f(4);
+  Rng rng(9);
+  std::vector<Block> golden;
+  for (uint64_t i = 0; i < 12; ++i) {
+    golden.push_back(RandomBlock(&rng));
+    ASSERT_TRUE(f.group->WriteBlock(i, golden[i]).ok());
+  }
+  auto expect_span_read = [&f](uint64_t gbn, const Block& want) {
+    std::vector<uint8_t> buf(2 * kBlockSize, 0xEE);
+    auto slot = std::span(buf).subspan(kBlockSize / 2).first<kBlockSize>();
+    ASSERT_TRUE(f.group->ReadBlock(gbn, slot).ok()) << "block " << gbn;
+    Block via_block;
+    ASSERT_TRUE(f.group->ReadBlock(gbn, &via_block).ok()) << "block " << gbn;
+    EXPECT_EQ(via_block, want) << "block " << gbn;
+    EXPECT_TRUE(std::equal(slot.begin(), slot.end(), want.data.begin()))
+        << "block " << gbn;
+    // Bytes outside the span are untouched.
+    EXPECT_EQ(buf.front(), 0xEE);
+    EXPECT_EQ(buf.back(), 0xEE);
+  };
+  for (uint64_t i = 0; i < 12; ++i) {
+    expect_span_read(i, golden[i]);
+  }
+  expect_span_read(40, Block());  // never written: zeros
+  f.disks[1]->Fail();
+  for (uint64_t i = 0; i < 12; ++i) {
+    expect_span_read(i, golden[i]);  // column 1 blocks are reconstructed
+  }
+  expect_span_read(40, Block());
+}
+
+// Snapshot of every drive's stored bytes, for "nothing changed" checks.
+std::vector<std::vector<uint8_t>> DriveImages(GroupFixture* f) {
+  std::vector<std::vector<uint8_t>> images;
+  for (auto& d : f->disks) {
+    std::vector<uint8_t> image;
+    for (Dbn dbn = 0; dbn < kDiskBlocks; ++dbn) {
+      Result<const Block*> stored = d->Peek(dbn);
+      if (stored.ok() && *stored != nullptr) {
+        image.insert(image.end(), (*stored)->data.begin(),
+                     (*stored)->data.end());
+      } else {
+        image.resize(image.size() + kBlockSize, stored.ok() ? 0 : 0xFF);
+      }
+    }
+    images.push_back(std::move(image));
+  }
+  return images;
+}
+
+TEST(RaidGroupTest, RejectedAccessLeavesDataAndParityUnchanged) {
+  GroupFixture f(4);
+  Rng rng(10);
+  for (uint64_t i = 0; i < 30; ++i) {
+    ASSERT_TRUE(f.group->WriteBlock(i, RandomBlock(&rng)).ok());
+  }
+  const Block fresh = RandomBlock(&rng);
+  Block out = RandomBlock(&rng);
+  const Block out_before = out;
+
+  // Out of range, through both forms.
+  const auto before = DriveImages(&f);
+  const uint64_t past = f.group->data_blocks();
+  EXPECT_EQ(f.group->ReadBlock(past, &out).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(f.group->ReadBlock(past, out.data).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(f.group->WriteBlock(past, fresh).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(f.group->WriteBlock(past, ConstBlockSpan(fresh.data)).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(out, out_before);
+  EXPECT_EQ(DriveImages(&f), before);
+
+  // Two failed drives: the stripe is lost, and neither a read nor a write
+  // touches what the survivors hold.
+  f.disks[0]->Fail();
+  f.disks[2]->Fail();
+  EXPECT_EQ(f.group->ReadBlock(0, out.data).code(), ErrorCode::kIoError);
+  EXPECT_EQ(f.group->WriteBlock(0, ConstBlockSpan(fresh.data)).code(),
+            ErrorCode::kIoError);
+  EXPECT_EQ(f.group->WriteBlock(3, fresh).code(), ErrorCode::kIoError);
+  EXPECT_EQ(f.group->WriteBlock(5, fresh).code(), ErrorCode::kIoError);
+  EXPECT_EQ(out, out_before);
+  f.disks[0]->ReplaceWithBlank();
+  f.disks[2]->ReplaceWithBlank();
+  auto after = DriveImages(&f);
+  EXPECT_EQ(after[1], before[1]);
+  EXPECT_EQ(after[3], before[3]);  // parity
 }
 
 // ---------------------------------------------------------------- Volume ---
