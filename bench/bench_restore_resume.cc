@@ -78,7 +78,7 @@ int Run(int argc, char** argv) {
   }
   auto catalog = TapeCatalog::Load(backup.dump.catalog_image);
   bench::CheckStatus(catalog.status(), "catalog load");
-  const uint64_t full_bytes = backup.dump.stream.size();
+  const uint64_t full_bytes = backup.report.stream_bytes;
   // The snapshot's consistency point made the whole tree durable, so the
   // live reader now sees everything the dump saw.
   auto source_sums = ChecksumTree(b.fs->LiveReader());

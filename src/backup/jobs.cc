@@ -133,7 +133,7 @@ Task BackupBody(BackupSpec spec, CountdownLatch* done) {
   }
 
   const IoTrace* trace = nullptr;
-  std::span<const uint8_t> stream;
+  std::vector<uint8_t>* stream = nullptr;
   uint64_t data_blocks = 0;
   if (report.status.ok() && spec.logical != nullptr) {
     LogicalDumpOptions& options = spec.logical_options;
@@ -152,7 +152,7 @@ Task BackupBody(BackupSpec spec, CountdownLatch* done) {
       *spec.logical = std::move(*dump);
       report.faults.files_skipped += spec.logical->stats.files_skipped;
       trace = &spec.logical->trace;
-      stream = spec.logical->stream;
+      stream = &spec.logical->stream;
       data_blocks = spec.logical->stats.data_blocks;
     } else {
       report.status = dump.status();
@@ -164,7 +164,7 @@ Task BackupBody(BackupSpec spec, CountdownLatch* done) {
     if (dump.ok()) {
       *spec.image = std::move(*dump);
       trace = &spec.image->trace;
-      stream = spec.image->stream;
+      stream = &spec.image->stream;
       data_blocks = spec.image->stats.blocks_dumped;
     } else {
       report.status = dump.status();
@@ -177,7 +177,9 @@ Task BackupBody(BackupSpec spec, CountdownLatch* done) {
     cfg.volume = fs->volume();
     cfg.media = spec.sink;
     CountdownLatch replay_done(env, 1);
-    env->Spawn(BackupReplay(cfg, trace, stream, &report, &replay_done));
+    // The replay takes the stream; the tape it records on keeps the bytes.
+    env->Spawn(
+        BackupReplay(cfg, trace, std::move(*stream), &report, &replay_done));
     co_await replay_done.Wait();
   }
   if (created && (!spec.snapshot.keep || trace == nullptr)) {

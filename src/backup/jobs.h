@@ -56,6 +56,11 @@ struct BackupQos {
 
 // ------------------------------------------------------- complete jobs ---
 
+// The dump's output without its bytes: the job hands `dump.stream` to the
+// tape it records on, which keeps it (Tape::Adopt), so after the job the
+// stream is empty and the bytes live on the media (`tape->contents()`, or
+// the wire image there when content stages ran). `report.stream_bytes`
+// holds the stream's size; the trace, stats and catalog stay here.
 struct LogicalBackupJobResult {
   LogicalDumpOutput dump;
   JobReport report;
@@ -127,6 +132,8 @@ Task ResumableLogicalRestoreJob(Filer* filer, std::unique_ptr<Filesystem>* fs,
                                 ResumableRestoreJobResult* result,
                                 CountdownLatch* done);
 
+// As LogicalBackupJobResult: `dump.stream` is empty after the job, and
+// the image lives on the media.
 struct ImageBackupJobResult {
   ImageDumpOutput dump;
   JobReport report;

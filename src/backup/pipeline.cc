@@ -19,6 +19,7 @@
 #include "src/backup/pipeline.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "src/obs/trace.h"
 
@@ -329,10 +330,12 @@ Task WriteToMedia(const ReplayConfig& cfg, std::span<const uint8_t> stream,
 
 // Tape end of a backup. Locally it drains `chunks`; on a tape server it
 // drains each connection of the session in turn (`conns`), skipping bytes a
-// resumed connection replays that the tape already holds. `stream` stands
+// resumed connection replays that the tape already holds. `owned` stands
 // in for the received payload bytes (the simulation ships offsets, not
-// copies).
-Task TapeWriterProc(ReplayConfig cfg, std::span<const uint8_t> stream,
+// copies); a blank tape with its head at the start adopts it, so its
+// writes record the stream in place.
+Task TapeWriterProc(ReplayConfig cfg,
+                    std::shared_ptr<std::vector<uint8_t>> owned,
                     Channel<StreamChunk>* chunks,
                     Channel<StreamConn*>* conns, TraceContext ctx,
                     JobReport* report, SimEvent* writer_done) {
@@ -346,14 +349,17 @@ Task TapeWriterProc(ReplayConfig cfg, std::span<const uint8_t> stream,
                      ("srv:" + report->name).c_str(), "tape.write", ctx);
   }
   TapeDrive* tape = cfg.media.drive;
+  const std::span<const uint8_t> stream = *owned;
   size_t next_spare = 0;
   uint64_t media_start = 0;
   if (tape->loaded()) {
     report->tapes_used.push_back(tape->tape()->label());
     report->final_media.push_back(tape->tape()->label());
-    // Size the media's byte store for the whole stream once, so the
-    // appends below never reallocate it.
-    tape->tape()->Reserve(tape->position() + stream.size());
+    // Media that cannot adopt the stream copy it, into a byte store sized
+    // for the whole stream once so the appends below never reallocate it.
+    if (tape->position() != 0 || !tape->tape()->Adopt(owned).ok()) {
+      tape->tape()->Reserve(tape->position() + stream.size());
+    }
   }
   while (chunks != nullptr) {
     std::optional<StreamChunk> chunk = co_await chunks->Recv();
@@ -404,13 +410,15 @@ Task TapeReadRetry(SimEnvironment* env, const SupervisionPolicy* sup,
   co_await env->Delay(sup->tape_retry.BackoffBefore(*attempt));
 }
 
-// Tape end of a restore: reads the stream off the media and publishes how
-// many stream bytes have arrived — on `out` for a local drive, or through
-// the session across the link from a tape server. A sequential read spans
-// onto the next spare as each media runs dry; a ranged read (`ranges`)
-// seeks to each range on the mounted media and publishes absolute offsets,
-// so watermarks stay monotone while the gaps are never touched. Under
-// supervision, read errors run the retry ladder.
+// Tape end of a restore: passes the head over the stream on the media
+// (the restore engine already holds the media's bytes, so nothing is
+// copied) and publishes how many stream bytes have arrived — on `out` for
+// a local drive, or through the session across the link from a tape
+// server. A sequential read spans onto the next spare as each media runs
+// dry; a ranged read (`ranges`) seeks to each range on the mounted media
+// and publishes absolute offsets, so watermarks stay monotone while the
+// gaps are never touched. Under supervision, read errors run the retry
+// ladder.
 Task TapeReaderProc(ReplayConfig cfg,
                     std::optional<std::vector<StreamRange>> ranges,
                     uint64_t total_bytes, Channel<uint64_t>* out,
@@ -425,7 +433,6 @@ Task TapeReaderProc(ReplayConfig cfg,
   }
   TapeDrive* tape = cfg.media.drive;
   const std::vector<Tape*>& spares = cfg.media.spare_tapes;
-  std::vector<uint8_t> scratch(kChunkBytes);
   size_t next_spare = 0;
   if (tape->loaded()) {
     // A resumed restore reads the same media again: list it once.
@@ -468,7 +475,7 @@ Task TapeReaderProc(ReplayConfig cfg,
       const uint64_t n =
           std::min<uint64_t>({kChunkBytes, r.end - pos, on_tape});
       Status st;
-      co_await tape->TimedRead(std::span(scratch).first(n), &st);
+      co_await tape->TimedPass(n, &st);
       // Unsupervised, the ladder still counts the failed read but grants
       // no retry.
       int attempt = 0;
@@ -477,7 +484,7 @@ Task TapeReaderProc(ReplayConfig cfg,
         co_await TapeReadRetry(env, cfg.media.supervision, &attempt, report,
                                &again);
         if (again) {
-          co_await tape->TimedRead(std::span(scratch).first(n), &st);
+          co_await tape->TimedPass(n, &st);
         }
       }
       if (!st.ok() && report->status.ok()) {
@@ -888,7 +895,7 @@ Task ContentWatermarkAdapter(ReplayConfig cfg, const FrameMap* map,
 }  // namespace
 
 Task BackupReplay(ReplayConfig cfg, const IoTrace* trace,
-                  std::span<const uint8_t> stream, JobReport* report,
+                  std::vector<uint8_t> stream, JobReport* report,
                   CountdownLatch* done) {
   SimEnvironment* env = cfg.filer->env();
   const RemoteTarget& sink = cfg.media;
@@ -899,9 +906,11 @@ Task BackupReplay(ReplayConfig cfg, const IoTrace* trace,
   // operate in post-stage coordinates, and a resend replays already-encoded
   // bytes without re-charging encode CPU.
   const bool content = sink.content.enabled();
-  std::vector<uint8_t> wire_image;
+  const uint64_t raw_bytes = stream.size();
   FrameMap map;
-  std::span<const uint8_t> wire = stream;
+  // What the media record: the wire image with content stages, else the
+  // stream itself. Shared with the tape that adopts it.
+  std::shared_ptr<std::vector<uint8_t>> media;
   if (content) {
     Result<EncodeResult> encoded = StagePipeline(sink.content).Encode(stream);
     if (!encoded.ok()) {
@@ -911,11 +920,14 @@ Task BackupReplay(ReplayConfig cfg, const IoTrace* trace,
       done->CountDown();
       co_return;
     }
-    wire_image = std::move(encoded->wire);
+    media = std::make_shared<std::vector<uint8_t>>(std::move(encoded->wire));
     map = std::move(encoded->map);
     report->content.Add(encoded->stats);
-    wire = wire_image;
+    std::vector<uint8_t>().swap(stream);  // the replay needs only the wire
+  } else {
+    media = std::make_shared<std::vector<uint8_t>>(std::move(stream));
   }
+  const std::span<const uint8_t> wire = *media;
   // The byte cap is enforced once: over a link by the session's
   // connections, which pace the wire; locally by the content adapter (wire
   // bytes) or else the producer.
@@ -932,13 +944,13 @@ Task BackupReplay(ReplayConfig cfg, const IoTrace* trace,
   SimEvent sender_done(env);
   SimEvent adapter_done(env);
   if (session) {
-    env->Spawn(TapeWriterProc(cfg, wire, nullptr, &session->conns(),
+    env->Spawn(TapeWriterProc(cfg, media, nullptr, &session->conns(),
                               session->ctx(), report, &writer_done));
     env->Spawn(NetSenderProc(cfg.filer, &*session, &wire_chunks,
                              "net:" + sink.link->name(), report,
                              &sender_done));
   } else {
-    env->Spawn(TapeWriterProc(cfg, wire, &wire_chunks, nullptr, {}, report,
+    env->Spawn(TapeWriterProc(cfg, media, &wire_chunks, nullptr, {}, report,
                               &writer_done));
   }
   if (content) {
@@ -960,7 +972,7 @@ Task BackupReplay(ReplayConfig cfg, const IoTrace* trace,
   // Close after the writer drains so the final phase's span covers the tape
   // tail, not just the last produced chunk.
   spans.Close();
-  report->stream_bytes += stream.size();
+  report->stream_bytes += raw_bytes;
   done->CountDown();
 }
 

@@ -59,10 +59,12 @@ RemoteTarget LocalMedia(TapeDrive* tape, std::vector<Tape*> spare_tapes,
 // Replays a dump-side trace: charges disk reads and CPU per event and
 // streams the produced bytes to the media, encoding them first when
 // content stages are on (tapes and links then move wire bytes and the
-// throttle paces post-stage rates). Accumulates phase stats into `report`
-// (does not set the report's envelope fields).
+// throttle paces post-stage rates). Takes the stream: the media's first
+// tape adopts it (or the wire image), so the bytes end up on the tape, not
+// in the caller's dump output. Accumulates phase stats into `report` (does
+// not set the report's envelope fields).
 Task BackupReplay(ReplayConfig cfg, const IoTrace* trace,
-                  std::span<const uint8_t> stream, JobReport* report,
+                  std::vector<uint8_t> stream, JobReport* report,
                   CountdownLatch* done);
 
 // Replays a restore-side trace: reads `media` (what the drive holds — the

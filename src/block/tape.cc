@@ -7,18 +7,52 @@
 
 namespace bkup {
 
+Status Tape::Adopt(std::shared_ptr<std::vector<uint8_t>> stream) {
+  if (size_ != 0) {
+    return FailedPrecondition(label_ + ": adopting a stream needs blank media");
+  }
+  store_ = std::move(stream);
+  return Status::Ok();
+}
+
+std::vector<uint8_t>& Tape::Own() {
+  if (store_ == nullptr) {
+    store_ = std::make_shared<std::vector<uint8_t>>();
+  } else if (store_.use_count() > 1) {
+    store_ = std::make_shared<std::vector<uint8_t>>(
+        store_->begin(), store_->begin() + static_cast<ptrdiff_t>(size_));
+  } else {
+    store_->resize(size_);  // an adopted stream's unrecorded tail
+  }
+  return *store_;
+}
+
+void Tape::Record(uint64_t offset, std::span<const uint8_t> data) {
+  if (store_ != nullptr && offset <= size_ &&
+      data.size() <= store_->size() - offset &&
+      data.data() == store_->data() + offset) {
+    size_ = offset + data.size();  // the store already holds these bytes
+    return;
+  }
+  std::vector<uint8_t>& bytes = Own();
+  // Serpentine media: a write invalidates everything past it.
+  bytes.resize(offset);
+  bytes.insert(bytes.end(), data.begin(), data.end());
+  size_ = bytes.size();
+}
+
 Status Tape::CorruptRange(uint64_t offset, uint64_t length) {
-  if (offset >= bytes_.size()) {
+  if (offset >= size_) {
     return InvalidArgument(label_ + ": corrupt range [" +
                            std::to_string(offset) + ", +" +
                            std::to_string(length) +
                            ") starts beyond recorded data");
   }
+  std::vector<uint8_t>& bytes = Own();
   // Clamp without forming offset+length (which could overflow).
-  const uint64_t end = offset + std::min<uint64_t>(length,
-                                                   bytes_.size() - offset);
+  const uint64_t end = offset + std::min<uint64_t>(length, size_ - offset);
   for (uint64_t i = offset; i < end; ++i) {
-    bytes_[i] ^= 0x5A;
+    bytes[i] ^= 0x5A;
   }
   return Status::Ok();
 }
@@ -66,23 +100,26 @@ Status TapeDrive::WriteData(std::span<const uint8_t> data) {
   if (position_ + data.size() > tape_->capacity()) {
     return NoSpace(name_ + ": end of tape");
   }
-  auto& bytes = tape_->mutable_bytes();
-  // Serpentine media: a write invalidates everything past it.
-  bytes.resize(position_);
-  bytes.insert(bytes.end(), data.begin(), data.end());
+  tape_->Record(position_, data);
   position_ += data.size();
   return Status::Ok();
 }
 
 Status TapeDrive::ReadData(std::span<uint8_t> out) {
+  const uint64_t at = position_;
+  BKUP_RETURN_IF_ERROR(PassData(out.size()));
+  std::memcpy(out.data(), tape_->contents().data() + at, out.size());
+  return Status::Ok();
+}
+
+Status TapeDrive::PassData(uint64_t nbytes) {
   if (tape_ == nullptr) {
     return FailedPrecondition(name_ + ": no media loaded");
   }
-  if (position_ + out.size() > tape_->size()) {
+  if (position_ > tape_->size() || nbytes > tape_->size() - position_) {
     return Corruption(name_ + ": read past end of recorded data");
   }
-  std::memcpy(out.data(), tape_->contents().data() + position_, out.size());
-  position_ += out.size();
+  position_ += nbytes;
   return Status::Ok();
 }
 
@@ -135,18 +172,22 @@ Task TapeDrive::TimedWrite(std::span<const uint8_t> data, Status* status) {
   unit_.Release();
 }
 
-Task TapeDrive::TimedRead(std::span<uint8_t> out, Status* status) {
+Task TapeDrive::TimedReadInto(uint64_t nbytes, uint8_t* out,
+                              Status* status) {
   co_await unit_.Acquire();
-  const SimDuration t = TransferTime(out.size()) + RepositionPenalty();
+  const SimDuration t = TransferTime(nbytes) + RepositionPenalty();
   co_await env_->Delay(t);
   Status st = Status::Ok();
   if (fault_hook_ != nullptr) {
-    st = fault_hook_->OnTapeRead(this, position_, out.size());
+    st = fault_hook_->OnTapeRead(this, position_, nbytes);
   }
-  *status = st.ok() ? ReadData(out) : st;
+  if (st.ok()) {
+    st = out != nullptr ? ReadData(std::span(out, nbytes)) : PassData(nbytes);
+  }
+  *status = st;
   if (status->ok()) {
-    bytes_transferred_ += out.size();
-    metric_bytes_->Increment(out.size());
+    bytes_transferred_ += nbytes;
+    metric_bytes_->Increment(nbytes);
   }
   streaming_until_ = env_->now();
   unit_.Release();

@@ -27,6 +27,14 @@
 namespace bkup {
 
 // Removable media: a named byte stream with a capacity.
+//
+// The recorded bytes are the first `size()` bytes of a byte store the tape
+// may share with the job that is writing it: a blank tape can adopt the
+// dump stream it is about to record (`Adopt`), and a drive's write of that
+// stream's own bytes at their own offset then only advances the recorded
+// length. Every change to recorded bytes (a copying write, `CorruptRange`)
+// first gives the tape a private copy while the store is still shared, so
+// the other holder never sees the tape's damage (copy-on-write).
 class Tape {
  public:
   Tape(std::string label, uint64_t capacity_bytes)
@@ -34,10 +42,17 @@ class Tape {
 
   const std::string& label() const { return label_; }
   uint64_t capacity() const { return capacity_; }
-  uint64_t size() const { return bytes_.size(); }
+  uint64_t size() const { return size_; }
 
-  std::span<const uint8_t> contents() const { return bytes_; }
-  std::vector<uint8_t>& mutable_bytes() { return bytes_; }
+  std::span<const uint8_t> contents() const {
+    return store_ == nullptr ? std::span<const uint8_t>()
+                             : std::span<const uint8_t>(store_->data(), size_);
+  }
+
+  // Takes over `stream` as the byte store of a blank tape, recording
+  // nothing yet: the drive's writes of stream[k, k+n) at head k then record
+  // in place. FailedPrecondition if the tape holds recorded data.
+  Status Adopt(std::shared_ptr<std::vector<uint8_t>> stream);
 
   // Failure injection: flips bits in [offset, offset+length) to simulate a
   // media defect. Restores must detect this via record checksums. Rejects a
@@ -46,18 +61,31 @@ class Tape {
   Status CorruptRange(uint64_t offset, uint64_t length);
 
   // Sizes the byte store for `bytes` of recorded data (capped at capacity)
-  // so a long write appends without reallocating. Records nothing.
-  void Reserve(uint64_t bytes) {
-    bytes_.reserve(std::min(bytes, capacity_));
-  }
+  // so a long copying write appends without reallocating. Records nothing.
+  void Reserve(uint64_t bytes) { Own().reserve(std::min(bytes, capacity_)); }
 
   // Wipes the media (a fresh tape from the stacker).
-  void Erase() { bytes_.clear(); }
+  void Erase() {
+    store_.reset();
+    size_ = 0;
+  }
 
  private:
+  friend class TapeDrive;
+
+  // Records `data` at `offset` and drops everything past it (the drive has
+  // checked the capacity). In place when `data` is the store's own bytes at
+  // `offset`; copied otherwise.
+  void Record(uint64_t offset, std::span<const uint8_t> data);
+
+  // The store as a private vector of exactly size() bytes, copied first if
+  // another holder shares it.
+  std::vector<uint8_t>& Own();
+
   std::string label_;
   uint64_t capacity_;
-  std::vector<uint8_t> bytes_;
+  std::shared_ptr<std::vector<uint8_t>> store_;
+  uint64_t size_ = 0;  // recorded bytes: store_[0, size_)
 };
 
 struct TapeTiming {
@@ -104,6 +132,11 @@ class TapeDrive {
   // if the tape ends first.
   Status ReadData(std::span<uint8_t> out);
 
+  // ReadData without the copy: moves the head over `nbytes` recorded bytes,
+  // with the same checks. A caller that already holds the media's bytes
+  // (`tape()->contents()`) only needs the head and the timing.
+  Status PassData(uint64_t nbytes);
+
   Status SeekTo(uint64_t offset);
 
   // ------------------------------------------------------------ timing ---
@@ -111,7 +144,14 @@ class TapeDrive {
   // Awaitable write: acquires the drive, charges streaming time (plus a
   // reposition penalty if the drive fell out of streaming), moves the data.
   Task TimedWrite(std::span<const uint8_t> data, Status* status);
-  Task TimedRead(std::span<uint8_t> out, Status* status);
+  Task TimedRead(std::span<uint8_t> out, Status* status) {
+    return TimedReadInto(out.size(), out.data(), status);
+  }
+  // TimedRead that moves no bytes (PassData): same timing, fault hook and
+  // checks, and the head stays put on failure.
+  Task TimedPass(uint64_t nbytes, Status* status) {
+    return TimedReadInto(nbytes, nullptr, status);
+  }
 
   // Awaitable seek: repositions the head to an absolute byte offset, paying
   // the reposition penalty when the target is off the streaming path. The
@@ -123,12 +163,14 @@ class TapeDrive {
   uint64_t bytes_transferred() const { return bytes_transferred_; }
   uint64_t repositions() const { return repositions_; }
 
-  // Arms the drive against a fault engine; TimedWrite/TimedRead consult the
+  // Arms the drive against a fault engine; timed writes and reads consult the
   // hook before moving data. Null disarms.
   void set_fault_hook(DeviceFaultHook* hook) { fault_hook_ = hook; }
   DeviceFaultHook* fault_hook() const { return fault_hook_; }
 
  private:
+  // The body of TimedRead (`out` set) and TimedPass (`out` null).
+  Task TimedReadInto(uint64_t nbytes, uint8_t* out, Status* status);
   SimDuration TransferTime(uint64_t nbytes) const;
   // Charges a reposition if the drive fell out of streaming; returns the
   // penalty (0 when still streaming) and records the metric + trace instant.

@@ -47,7 +47,8 @@ class TapeServer {
 
   // Ranged media read, the server-side primitive of catalog-driven restores:
   // seeks `drive` to the absolute byte `offset` (paying the reposition) and
-  // reads `length` bytes in `chunk_bytes` pieces, publishing the absolute
+  // passes the head over `length` bytes in `chunk_bytes` pieces (the caller
+  // reads them from the media, so none is copied), publishing the absolute
   // offset reached after each piece on `progress`. The channel is left open
   // so callers can chain ranges; *status holds the first error. Reads are
   // idempotent, so a caller's retry can simply re-issue the remainder.
@@ -62,7 +63,6 @@ class TapeServer {
     co_await drive->TimedSeekTo(offset, &st);
     uint64_t pos = offset;
     const uint64_t end = offset + length;
-    std::vector<uint8_t> scratch(chunk_bytes);
     while (st.ok() && pos < end) {
       const uint64_t on_tape =
           drive->loaded() ? drive->tape()->size() - drive->position() : 0;
@@ -71,7 +71,7 @@ class TapeServer {
         break;
       }
       const uint64_t n = std::min({chunk_bytes, end - pos, on_tape});
-      co_await drive->TimedRead(std::span(scratch).first(n), &st);
+      co_await drive->TimedPass(n, &st);
       if (st.ok()) {
         pos += n;
         co_await progress->Send(pos);

@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "src/block/block.h"
 #include "src/block/disk.h"
+#include "src/block/fault_hook.h"
 #include "src/block/tape.h"
 #include "src/block/tape_library.h"
 #include "src/util/random.h"
@@ -308,9 +310,17 @@ TEST(TapeTest, MidTapeWriteTruncates) {
   EXPECT_EQ(media.size(), 50u) << "serpentine write truncates the tail";
 }
 
+// Records `bytes` on blank `media` through a drive of its own.
+void RecordOn(Tape* media, const std::vector<uint8_t>& bytes) {
+  SimEnvironment env;
+  TapeDrive drive(&env, "rec");
+  drive.LoadMedia(media);
+  ASSERT_TRUE(drive.WriteData(bytes).ok());
+}
+
 TEST(TapeTest, CorruptionFlipsBits) {
   Tape media("t0", 1000);
-  media.mutable_bytes().assign(100, 0x00);
+  RecordOn(&media, std::vector<uint8_t>(100, 0x00));
   ASSERT_TRUE(media.CorruptRange(10, 5).ok());
   EXPECT_EQ(media.contents()[9], 0x00);
   EXPECT_EQ(media.contents()[10], 0x5A);
@@ -320,7 +330,7 @@ TEST(TapeTest, CorruptionFlipsBits) {
 
 TEST(TapeTest, CorruptRangeRejectsAndClampsOutOfBounds) {
   Tape media("t0", 1000);
-  media.mutable_bytes().assign(100, 0x00);
+  RecordOn(&media, std::vector<uint8_t>(100, 0x00));
   // Starting beyond the recorded data is an error and must not write.
   EXPECT_EQ(media.CorruptRange(100, 5).code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(media.CorruptRange(500, 1).code(), ErrorCode::kInvalidArgument);
@@ -335,6 +345,198 @@ TEST(TapeTest, CorruptRangeRejectsAndClampsOutOfBounds) {
   EXPECT_EQ(media.contents()[98], 0x5A);
   EXPECT_EQ(media.contents()[99], 0x5A);
   EXPECT_EQ(media.size(), 100u);
+}
+
+std::shared_ptr<std::vector<uint8_t>> CountingStream(size_t n) {
+  auto stream = std::make_shared<std::vector<uint8_t>>(n);
+  for (size_t i = 0; i < n; ++i) {
+    (*stream)[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  return stream;
+}
+
+TEST(TapeTest, AdoptedStreamRecordsInPlace) {
+  SimEnvironment env;
+  auto stream = CountingStream(1000);
+  Tape media("t0", 1 * kGiB);
+  ASSERT_TRUE(media.Adopt(stream).ok());
+  EXPECT_EQ(media.size(), 0u) << "adopting records nothing";
+  TapeDrive drive(&env, "dlt0");
+  drive.LoadMedia(&media);
+  const std::span<const uint8_t> bytes = *stream;
+  ASSERT_TRUE(drive.WriteData(bytes.first(600)).ok());
+  ASSERT_TRUE(drive.WriteData(bytes.subspan(600)).ok());
+  EXPECT_EQ(media.size(), 1000u);
+  EXPECT_EQ(media.contents().data(), stream->data())
+      << "the tape's bytes are the adopted buffer's bytes";
+
+  // Only blank media adopt.
+  EXPECT_EQ(media.Adopt(CountingStream(10)).code(),
+            ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(media.contents().data(), stream->data());
+}
+
+TEST(TapeTest, AdoptedStreamCapsAtCapacityAndSpills) {
+  SimEnvironment env;
+  auto stream = CountingStream(150);
+  Tape first("t0", 100);
+  Tape spare("t1", 100);
+  ASSERT_TRUE(first.Adopt(stream).ok());
+  TapeDrive drive(&env, "dlt0");
+  drive.LoadMedia(&first);
+  const std::span<const uint8_t> bytes = *stream;
+  EXPECT_EQ(drive.WriteData(bytes).code(), ErrorCode::kNoSpace);
+  ASSERT_TRUE(drive.WriteData(bytes.first(100)).ok());
+  EXPECT_EQ(first.size(), 100u);
+  // The rest of the stream goes to a spare, which copies it.
+  drive.LoadMedia(&spare);
+  ASSERT_TRUE(drive.WriteData(bytes.subspan(100)).ok());
+  ASSERT_EQ(spare.size(), 50u);
+  EXPECT_NE(spare.contents().data(), stream->data() + 100);
+  EXPECT_TRUE(std::equal(spare.contents().begin(), spare.contents().end(),
+                         bytes.begin() + 100));
+}
+
+TEST(TapeTest, SharedStoreNeverChangesUnderItsOtherHolder) {
+  SimEnvironment env;
+  TapeDrive drive(&env, "dlt0");
+  auto stream = CountingStream(100);
+  const std::vector<uint8_t> original = *stream;
+  auto recorded = [&](Tape* media) {
+    ASSERT_TRUE(media->Adopt(stream).ok());
+    drive.LoadMedia(media);
+    ASSERT_TRUE(drive.WriteData(*stream).ok());
+    ASSERT_EQ(media->contents().data(), stream->data());
+  };
+
+  // A media defect damages the tape, not the stream it shares.
+  Tape corrupted("t0", 1000);
+  recorded(&corrupted);
+  ASSERT_TRUE(corrupted.CorruptRange(10, 5).ok());
+  EXPECT_EQ(*stream, original);
+  EXPECT_EQ(corrupted.contents()[10], original[10] ^ 0x5A);
+  EXPECT_EQ(corrupted.contents()[15], original[15]);
+  EXPECT_EQ(corrupted.size(), 100u);
+  // A write of the stream's bytes after the tape went private copies them.
+  drive.Rewind();
+  ASSERT_TRUE(drive.WriteData(*stream).ok());
+  EXPECT_TRUE(std::ranges::equal(corrupted.contents(), original));
+  EXPECT_NE(corrupted.contents().data(), stream->data());
+
+  // A copying write (other bytes, mid-tape) truncates the tape only.
+  Tape patched("t1", 1000);
+  recorded(&patched);
+  ASSERT_TRUE(drive.SeekTo(40).ok());
+  ASSERT_TRUE(drive.WriteData(std::vector<uint8_t>(10, 0xEE)).ok());
+  EXPECT_EQ(patched.size(), 50u);
+  EXPECT_EQ(patched.contents()[39], original[39]);
+  EXPECT_EQ(patched.contents()[40], 0xEE);
+  EXPECT_EQ(*stream, original);
+
+  // Erase drops the tape's hold and leaves the bytes to the other holder.
+  Tape erased("t2", 1000);
+  recorded(&erased);
+  const long holders = stream.use_count();
+  erased.Erase();
+  EXPECT_EQ(erased.size(), 0u);
+  EXPECT_TRUE(erased.contents().empty());
+  EXPECT_EQ(stream.use_count(), holders - 1);
+  EXPECT_EQ(*stream, original);
+}
+
+TEST(TapeTest, SoleHolderChangesItsStoreInPlace) {
+  SimEnvironment env;
+  TapeDrive drive(&env, "dlt0");
+  Tape media("t0", 1000);
+  const uint8_t* store = nullptr;
+  {
+    auto stream = CountingStream(100);
+    store = stream->data();
+    ASSERT_TRUE(media.Adopt(stream).ok());
+    drive.LoadMedia(&media);
+    ASSERT_TRUE(drive.WriteData(*stream).ok());
+  }
+  // The writer let go: the tape owns the store and nothing is copied.
+  const uint8_t before = media.contents()[3];
+  ASSERT_TRUE(media.CorruptRange(3, 1).ok());
+  EXPECT_EQ(media.contents().data(), store);
+  EXPECT_EQ(media.contents()[3], before ^ 0x5A);
+}
+
+// Fails every tape read and counts the reads it saw.
+class FailingTapeReads : public DeviceFaultHook {
+ public:
+  Status OnDiskAccess(Disk*, uint64_t) override { return Status::Ok(); }
+  Status OnTapeWrite(TapeDrive*, uint64_t, uint64_t) override {
+    return Status::Ok();
+  }
+  Status OnTapeRead(TapeDrive*, uint64_t position, uint64_t nbytes) override {
+    ++reads;
+    last = {position, nbytes};
+    return IoError("injected read error");
+  }
+  int reads = 0;
+  std::pair<uint64_t, uint64_t> last;
+};
+
+Task DoTapePass(TapeDrive* drive, uint64_t nbytes, Status* status) {
+  co_await drive->TimedPass(nbytes, status);
+}
+
+TEST(TapeTest, PassMovesTheHeadWithReadDataChecks) {
+  SimEnvironment env;
+  TapeDrive drive(&env, "dlt0");
+  Status st;
+  EXPECT_EQ(drive.PassData(1).code(), ErrorCode::kFailedPrecondition);
+  env.Spawn(DoTapePass(&drive, 1, &st));
+  env.Run();
+  EXPECT_EQ(st.code(), ErrorCode::kFailedPrecondition);
+
+  Tape media("t0", 1000);
+  RecordOn(&media, std::vector<uint8_t>(100, 0x33));
+  drive.LoadMedia(&media);
+  ASSERT_TRUE(drive.SeekTo(60).ok());
+  EXPECT_EQ(drive.PassData(41).code(), ErrorCode::kCorruption);
+  EXPECT_EQ(drive.position(), 60u) << "a failed pass leaves the head";
+  env.Spawn(DoTapePass(&drive, 41, &st));
+  env.Run();
+  EXPECT_EQ(st.code(), ErrorCode::kCorruption);
+  EXPECT_EQ(drive.position(), 60u);
+  EXPECT_EQ(drive.bytes_transferred(), 0u);
+
+  // A pass that fits moves the head and counts like a read.
+  env.Spawn(DoTapePass(&drive, 40, &st));
+  env.Run();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(drive.position(), 100u);
+  EXPECT_EQ(drive.bytes_transferred(), 40u);
+}
+
+TEST(TapeTest, PassConsultsTheFaultHookAndTakesReadTime) {
+  SimEnvironment env;
+  TapeTiming t;
+  t.stream_mb_per_s = 10.0;
+  TapeDrive drive(&env, "dlt0", t);
+  Tape media("t0", 10 * kMiB);
+  RecordOn(&media, std::vector<uint8_t>(1'000'000, 0x44));
+  drive.LoadMedia(&media);
+  FailingTapeReads hook;
+  drive.set_fault_hook(&hook);
+  ASSERT_TRUE(drive.SeekTo(10).ok());
+  Status st;
+  env.Spawn(DoTapePass(&drive, 500'000, &st));
+  env.Run();
+  EXPECT_EQ(st.code(), ErrorCode::kIoError);
+  EXPECT_EQ(hook.reads, 1);
+  EXPECT_EQ(hook.last, std::make_pair(uint64_t{10}, uint64_t{500'000}));
+  EXPECT_EQ(drive.position(), 10u) << "a failed pass leaves the head";
+  EXPECT_EQ(env.now(), SecondsToSim(0.05)) << "a pass streams like a read";
+
+  drive.set_fault_hook(nullptr);
+  env.Spawn(DoTapePass(&drive, 500'000, &st));
+  env.Run();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(drive.position(), 500'010u);
 }
 
 Task DoTapeWrite(TapeDrive* drive, std::span<const uint8_t> data,

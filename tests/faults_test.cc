@@ -13,6 +13,7 @@
 
 #include "src/backup/supervisor.h"
 #include "src/dump/logical_restore.h"
+#include "src/dump/verify.h"
 #include "src/faults/fault_injector.h"
 #include "src/image/image_dump.h"
 #include "src/workload/population.h"
@@ -335,6 +336,72 @@ TEST(FaultSupervisionTest, SameSeedReproducesIdenticalCounters) {
   EXPECT_EQ(a.tapes_used, b.tapes_used);
   EXPECT_EQ(a.final_media, b.final_media);
   EXPECT_EQ(a.stream_bytes, b.stream_bytes);
+}
+
+// The first tape records the dump stream in place, sharing its bytes with
+// the running job. A defect that fires mid-job flips bytes that tape has
+// already recorded, then rejects every later write, so the supervisor
+// remounts a spare and rewrites the stream from the start. The spare must
+// get the stream's clean bytes, not the first tape's damaged ones.
+TEST(FaultSupervisionTest, RemountRewritesCleanBytesAfterRecordedDamage) {
+  SimEnvironment env;
+  Filer filer(&env, FilerModel::F630());
+  auto volume = Volume::Create(&env, "home", Geometry());
+  auto fs = std::move(Filesystem::Format(volume.get(), &env)).value();
+  WorkloadParams params;
+  params.target_bytes = 6 * kMiB;
+  ASSERT_TRUE(PopulateFilesystem(fs.get(), params).ok());
+  const auto src_sums = ChecksumTree(fs->LiveReader()).value();
+
+  Tape t0("nightly.0", 32 * kMiB), t1("nightly.1", 32 * kMiB);
+  TapeDrive drive(&env, "dlt0");
+  drive.LoadMedia(&t0);
+  // The file phase streams ~6.5 MB over the 0.8 s after the snapshot, so
+  // the defect arms about halfway through it: the first write after that
+  // corrupts everything recorded from byte 64 KiB on, and fails.
+  const SimTime at =
+      FilerModel::F630().snapshot_create_time + 400 * kMillisecond;
+  FaultPlan plan;
+  plan.TapeMediaDefect("nightly.0", 64 * kKiB, 64 * kMiB, at);
+  FaultInjector injector(&env, plan);
+  injector.Arm(&drive);
+
+  SupervisionPolicy policy;
+  LogicalBackupJobResult backup;
+  CountdownLatch done(&env, 1);
+  env.Spawn(LogicalBackupJob(&filer, fs.get(), &drive, LogicalDumpOptions{},
+                             &backup, &done, {&t1}, &policy));
+  env.Run();
+  ASSERT_TRUE(backup.report.status.ok()) << backup.report.status.ToString();
+  EXPECT_EQ(injector.stats().media_defects_applied, 1u);
+  EXPECT_EQ(backup.report.faults.tape_remounts, 1u);
+  ASSERT_EQ(backup.report.final_media, std::vector<std::string>{"nightly.1"});
+
+  // The defect hit recorded bytes: the abandoned tape differs from the
+  // spare inside its recorded prefix.
+  ASSERT_GT(t0.size(), 1 * kMiB);
+  ASSERT_EQ(t1.size(), backup.report.stream_bytes);
+  const auto damaged = t0.contents().subspan(64 * kKiB);
+  EXPECT_FALSE(std::equal(damaged.begin(), damaged.end(),
+                          t1.contents().begin() + 64 * kKiB));
+  auto verified = VerifyDumpStream(t1.contents());
+  ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+  EXPECT_EQ(verified->corrupt_records, 0u);
+  EXPECT_EQ(verified->data_crc_errors, 0u);
+
+  auto rvolume = Volume::Create(&env, "r", Geometry());
+  auto rfs = std::move(Filesystem::Format(rvolume.get(), &env)).value();
+  TapeDrive rdrive(&env, "dlt1");
+  rdrive.LoadMedia(&t1);
+  LogicalRestoreJobResult restore;
+  CountdownLatch rdone(&env, 1);
+  env.Spawn(LogicalRestoreJob(&filer, rfs.get(), &rdrive,
+                              LogicalRestoreOptions{}, false, &restore,
+                              &rdone, {}, &policy));
+  env.Run();
+  ASSERT_TRUE(restore.report.status.ok()) << restore.report.status.ToString();
+  EXPECT_EQ(restore.restore.stats.corrupt_records_skipped, 0u);
+  EXPECT_EQ(ChecksumTree(rfs->LiveReader()).value(), src_sums);
 }
 
 TEST(FaultSupervisionTest, FlakyTapeReadsAreRetriedDuringRestore) {

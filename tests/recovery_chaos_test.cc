@@ -31,6 +31,7 @@
 #include "src/dump/catalog.h"
 #include "src/dump/logical_dump.h"
 #include "src/dump/logical_restore.h"
+#include "src/dump/verify.h"
 #include "src/content/content.h"
 #include "src/faults/crash.h"
 #include "src/faults/fault_injector.h"
@@ -463,8 +464,11 @@ TEST(RecoveryChaosTest, RemoteSingleFileRestoreCostsOFile) {
                                    LogicalDumpOptions{}, &backup, &done));
   env.Run();
   ASSERT_TRUE(backup.report.status.ok()) << backup.report.status.ToString();
-  ASSERT_EQ(media.contents().size(), backup.dump.stream.size());
-  ASSERT_EQ(Crc32c(media.contents()), Crc32c(backup.dump.stream))
+  EXPECT_TRUE(backup.dump.stream.empty()) << "the tape keeps the stream";
+  ASSERT_EQ(media.contents().size(), backup.report.stream_bytes);
+  auto verified = VerifyDumpStream(media.contents());
+  ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+  EXPECT_EQ(verified->corrupt_records + verified->data_crc_errors, 0u)
       << "tape image must be the dump stream byte for byte";
   auto catalog = TapeCatalog::Load(backup.dump.catalog_image);
   ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
@@ -500,7 +504,7 @@ TEST(RecoveryChaosTest, RemoteSingleFileRestoreCostsOFile) {
   EXPECT_FALSE(result.budget_rejected);
   EXPECT_EQ(result.restore.stats.files_restored, 1u);
   EXPECT_GT(result.link_bytes, 0u);
-  EXPECT_EQ(result.full_stream_bytes, backup.dump.stream.size());
+  EXPECT_EQ(result.full_stream_bytes, backup.report.stream_bytes);
   EXPECT_LT(result.link_bytes, result.full_stream_bytes / 10)
       << "one file must cost well under a tenth of the stream";
   EXPECT_EQ(budget.consumed(), result.link_bytes);
@@ -583,7 +587,7 @@ ContentOutageRun RunCompressedRemoteDump(bool outage) {
   }
   run.faults = backup.report.faults;
   run.content = backup.report.content;
-  run.raw_stream_bytes = backup.dump.stream.size();
+  run.raw_stream_bytes = backup.report.stream_bytes;
   run.media_bytes = media.contents().size();
   run.media_crc = Crc32c(media.contents());
 
@@ -665,7 +669,7 @@ TEST(RecoveryChaosTest, CompressedTapeResumableRestoreSurvivesKills) {
                                &policy, {}, content));
   w.env.Run();
   ASSERT_TRUE(backup.report.status.ok()) << backup.report.status.ToString();
-  ASSERT_LT(media.contents().size(), backup.dump.stream.size())
+  ASSERT_LT(media.contents().size(), backup.report.stream_bytes)
       << "compressed backup must write wire bytes to tape";
   auto catalog = TapeCatalog::Load(backup.dump.catalog_image);
   ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
@@ -702,7 +706,7 @@ TEST(RecoveryChaosTest, CompressedTapeResumableRestoreSurvivesKills) {
   // Bounded decode: a full-stream decode costs DecodeCpuPerMb() x raw MB;
   // three incarnations that each replayed everything would pay 3x that.
   const uint64_t full_decode_us =
-      content.DecodeCpuPerMb() * backup.dump.stream.size() / 1000000;
+      content.DecodeCpuPerMb() * backup.report.stream_bytes / 1000000;
   EXPECT_GT(result.report.content.decode_cpu_us, 0u);
   EXPECT_LT(result.report.content.decode_cpu_us,
             result.attempts * full_decode_us)
